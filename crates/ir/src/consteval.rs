@@ -22,6 +22,7 @@ pub struct DivByZero;
 
 /// Sign-extend the low `ty` bits of `raw` to 64 bits (i1 is zero-extended:
 /// booleans are 0 or 1).
+#[inline]
 pub fn extend(raw: u64, ty: Type) -> u64 {
     match ty {
         Type::I1 => raw & 1,
@@ -33,6 +34,7 @@ pub fn extend(raw: u64, ty: Type) -> u64 {
 }
 
 /// Mask selecting the value bits of `ty`.
+#[inline]
 pub fn width_mask(ty: Type) -> u64 {
     match ty {
         Type::I1 => 1,
@@ -48,6 +50,7 @@ pub fn width_mask(ty: Type) -> u64 {
 /// back; shifts take the amount modulo 64 (Rust `wrapping_shl`/`shr`);
 /// `i64::MIN / -1` wraps to `i64::MIN`. Float ops interpret the bits as
 /// `f64`.
+#[inline]
 pub fn eval_bin(op: BinOp, a: u64, b: u64, ty: Type) -> Result<u64, DivByZero> {
     if op.is_float() {
         let (x, y) = (f64::from_bits(a), f64::from_bits(b));
@@ -102,6 +105,7 @@ pub fn eval_bin(op: BinOp, a: u64, b: u64, ty: Type) -> Result<u64, DivByZero> {
 
 /// Evaluate a comparison over register bits. Signed predicates reinterpret
 /// the bits as `i64`, float predicates as `f64` (so `FNe` on NaN is true).
+#[inline]
 pub fn eval_cmp(op: CmpOp, a: u64, b: u64) -> bool {
     let (sa, sb) = (a as i64, b as i64);
     let (fa, fb) = (f64::from_bits(a), f64::from_bits(b));

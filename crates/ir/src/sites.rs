@@ -116,8 +116,9 @@ impl SiteTable {
         id
     }
 
-    /// The site anchored at instruction `inst` of `func`, if any. This is
-    /// the VM's hot lookup when executing a `Guard` or dispatch branch.
+    /// The site anchored at instruction `inst` of `func`, if any. The VM
+    /// resolves it once per `Guard` and dispatch branch when it decodes a
+    /// module.
     pub fn lookup(&self, func: FuncId, inst: InstId) -> Option<SiteId> {
         self.by_inst.get(&(func.0, inst.0)).copied()
     }

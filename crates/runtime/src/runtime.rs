@@ -12,6 +12,7 @@
 //! - per-DS prefetchers fed on the miss path, with batched fetches.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::ops::Range;
 
 use cards_net::{NetError, ObjKey, SplitMix64, Transport};
 
@@ -134,7 +135,9 @@ struct DsState {
     next_offset: u64,
     /// Live allocations: offset -> size.
     allocations: HashMap<u64, u64>,
-    objects: HashMap<u64, ObjState>,
+    /// Object states indexed by object index. Allocation grows it; a free
+    /// empties its slots. Iterating it visits objects in index order.
+    objects: Vec<Option<ObjState>>,
     prefetcher: Box<dyn Prefetcher>,
     stats: DsStats,
     /// Counter for accuracy-throttled probe prefetches.
@@ -156,6 +159,34 @@ struct DsState {
 impl DsState {
     fn obj_index(&self, offset: u64) -> u64 {
         offset >> self.spec.obj_shift()
+    }
+
+    fn obj(&self, idx: u64) -> Option<&ObjState> {
+        self.objects.get(idx as usize)?.as_ref()
+    }
+
+    fn obj_mut(&mut self, idx: u64) -> Option<&mut ObjState> {
+        self.objects.get_mut(idx as usize)?.as_mut()
+    }
+
+    fn set_obj(&mut self, idx: u64, st: ObjState) {
+        let i = idx as usize;
+        if i >= self.objects.len() {
+            self.objects.resize_with(i + 1, || None);
+        }
+        self.objects[i] = Some(st);
+    }
+
+    fn take_obj(&mut self, idx: u64) -> Option<ObjState> {
+        self.objects.get_mut(idx as usize)?.take()
+    }
+
+    /// Present objects with their indices, in index order.
+    fn objects_mut(&mut self) -> impl Iterator<Item = (u64, &mut ObjState)> {
+        self.objects
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, o)| Some((i as u64, o.as_mut()?)))
     }
 
     /// Highest valid object index + 1.
@@ -365,7 +396,7 @@ impl<T: Transport> FarMemRuntime<T> {
             remotable: hint == StaticHint::Remotable,
             next_offset: 0,
             allocations: HashMap::new(),
-            objects: HashMap::new(),
+            objects: Vec::new(),
             prefetcher,
             stats: DsStats::default(),
             probe_counter: 0,
@@ -412,7 +443,7 @@ impl<T: Transport> FarMemRuntime<T> {
         self.tracer
             .op_begin(SpanKind::Alloc, handle, first_new, None, self.stats.cycles);
         for idx in first_new..=last_new {
-            if self.ds[dsi].objects.contains_key(&idx) {
+            if self.ds[dsi].obj(idx).is_some() {
                 continue;
             }
             cycles += 30; // allocator bookkeeping per new object
@@ -454,7 +485,7 @@ impl<T: Transport> FarMemRuntime<T> {
                 self.stats.overcommits += 1;
             }
             self.stats.cycles += cycles;
-            self.ds[dsi].objects.insert(
+            self.ds[dsi].set_obj(
                 idx,
                 ObjState::Local {
                     data: vec![0u8; obj_bytes as usize].into_boxed_slice(),
@@ -484,7 +515,7 @@ impl<T: Transport> FarMemRuntime<T> {
         // degraded DS generates no further remote traffic.
         if self.breaker_degraded(dsi) {
             self.pinned_used += obj_bytes;
-            self.ds[dsi].objects.insert(
+            self.ds[dsi].set_obj(
                 idx,
                 ObjState::Local {
                     data: vec![0u8; obj_bytes as usize].into_boxed_slice(),
@@ -505,7 +536,7 @@ impl<T: Transport> FarMemRuntime<T> {
             self.stats.overcommits += 1;
         }
         self.remotable_used += obj_bytes;
-        self.ds[dsi].objects.insert(
+        self.ds[dsi].set_obj(
             idx,
             ObjState::Local {
                 data: vec![0u8; obj_bytes as usize].into_boxed_slice(),
@@ -550,7 +581,7 @@ impl<T: Transport> FarMemRuntime<T> {
             // must never be replayed (or spill-accessed).
             self.journal.remove(&key);
             self.spill_ok.remove(&(handle, idx));
-            if let Some(state) = self.ds[dsi].objects.remove(&idx) {
+            if let Some(state) = self.ds[dsi].take_obj(idx) {
                 match state {
                     ObjState::Local { pinned, data, .. } => {
                         if pinned {
@@ -624,18 +655,14 @@ impl<T: Transport> FarMemRuntime<T> {
         let dsi = handle as usize;
         self.ds[dsi].stats.guard_checks += 1;
         self.note_guarded(handle, idx);
-        let is_local = matches!(self.ds[dsi].objects.get(&idx), Some(ObjState::Local { .. }));
-        if is_local {
+        let resident = match self.ds[dsi].obj(idx) {
+            Some(ObjState::Local { prefetched, .. }) => Some(*prefetched),
+            _ => None,
+        };
+        if let Some(was_prefetched) = resident {
             self.ds[dsi].stats.hits += 1;
             self.profiler.on_hit();
             self.stats.derefs_local += 1;
-            let was_prefetched = matches!(
-                self.ds[dsi].objects.get(&idx),
-                Some(ObjState::Local {
-                    prefetched: true,
-                    ..
-                })
-            );
             self.touch(dsi, idx, access);
             // Prefetchers are trained on the full access stream: predicting
             // an already-resident object is free (the prefetcher skips it),
@@ -713,32 +740,49 @@ impl<T: Transport> FarMemRuntime<T> {
     /// Mark a resident object referenced (clock bit), dirty on writes, and
     /// account prefetch usefulness.
     fn touch(&mut self, dsi: usize, idx: u64, access: Access) {
-        if let Some(ObjState::Local {
+        self.access_resident(dsi, idx, access, |_| {});
+    }
+
+    /// [`Self::touch`] a resident object and run `f` on its bytes, with one
+    /// object-table access. Returns false (doing nothing) when the object
+    /// is not resident.
+    fn access_resident(
+        &mut self,
+        dsi: usize,
+        idx: u64,
+        access: Access,
+        f: impl FnOnce(&mut [u8]),
+    ) -> bool {
+        let Some(ObjState::Local {
+            data,
             dirty,
             ref_bit,
             prefetched,
             ..
-        }) = self.ds[dsi].objects.get_mut(&idx)
-        {
-            *ref_bit = true;
-            if access == Access::Write {
-                *dirty = true;
-            }
-            if *prefetched {
-                *prefetched = false;
-                self.ds[dsi].stats.prefetch_useful += 1;
-                self.ds[dsi].stats.window_useful += 1;
-                self.profiler.on_prefetch_useful();
-                let cycle = self.stats.cycles;
-                self.telemetry.emit(
-                    cycle,
-                    EventKind::PrefetchConfirm {
-                        ds: dsi as u16,
-                        index: idx,
-                    },
-                );
-            }
+        }) = self.ds[dsi].obj_mut(idx)
+        else {
+            return false;
+        };
+        *ref_bit = true;
+        if access == Access::Write {
+            *dirty = true;
         }
+        let first_touch = std::mem::take(prefetched);
+        f(data);
+        if first_touch {
+            self.ds[dsi].stats.prefetch_useful += 1;
+            self.ds[dsi].stats.window_useful += 1;
+            self.profiler.on_prefetch_useful();
+            let cycle = self.stats.cycles;
+            self.telemetry.emit(
+                cycle,
+                EventKind::PrefetchConfirm {
+                    ds: dsi as u16,
+                    index: idx,
+                },
+            );
+        }
+        true
     }
 
     /// Fetch object `idx` of DS `handle` from the remote server into local
@@ -806,7 +850,7 @@ impl<T: Transport> FarMemRuntime<T> {
         } else {
             self.remotable_used += obj_bytes;
         }
-        self.ds[dsi].objects.insert(
+        self.ds[dsi].set_obj(
             idx,
             ObjState::Local {
                 data: fetched.bytes.into_boxed_slice(),
@@ -932,7 +976,7 @@ impl<T: Transport> FarMemRuntime<T> {
         if self.breaker_degraded(dsi) {
             return Ok(0);
         }
-        if matches!(self.ds[dsi].objects.get(&idx), Some(ObjState::Local { .. })) {
+        if matches!(self.ds[dsi].obj(idx), Some(ObjState::Local { .. })) {
             return Ok(0);
         }
         let obj_bytes = self.ds[dsi].spec.object_bytes;
@@ -953,7 +997,7 @@ impl<T: Transport> FarMemRuntime<T> {
         let fetch_cycles = cycles - before_fetch;
         self.remotable_used += obj_bytes;
         self.spill_ok.remove(&(handle, idx));
-        self.ds[dsi].objects.insert(
+        self.ds[dsi].set_obj(
             idx,
             ObjState::Local {
                 data: fetched.bytes.into_boxed_slice(),
@@ -1503,7 +1547,7 @@ impl<T: Transport> FarMemRuntime<T> {
     fn breaker_pin_resident(&mut self, handle: u16) {
         let dsi = handle as usize;
         let mut moved = 0u64;
-        for st in self.ds[dsi].objects.values_mut() {
+        for (_, st) in self.ds[dsi].objects_mut() {
             if let ObjState::Local {
                 pinned: pinned @ false,
                 breaker_pinned,
@@ -1521,13 +1565,12 @@ impl<T: Transport> FarMemRuntime<T> {
     }
 
     /// Close transition: release breaker pins and hand the objects back to
-    /// the clock (sorted for determinism — HashMap order must not leak into
-    /// eviction order).
+    /// the clock in index order.
     fn breaker_unpin(&mut self, handle: u16) {
         let dsi = handle as usize;
         let mut moved = 0u64;
         let mut indices = Vec::new();
-        for (idx, st) in self.ds[dsi].objects.iter_mut() {
+        for (idx, st) in self.ds[dsi].objects_mut() {
             if let ObjState::Local {
                 pinned,
                 breaker_pinned: bp @ true,
@@ -1538,10 +1581,9 @@ impl<T: Transport> FarMemRuntime<T> {
                 *pinned = false;
                 *bp = false;
                 moved += data.len() as u64;
-                indices.push(*idx);
+                indices.push(idx);
             }
         }
-        indices.sort_unstable();
         self.pinned_used -= moved;
         self.remotable_used += moved;
         for idx in indices {
@@ -1595,7 +1637,7 @@ impl<T: Transport> FarMemRuntime<T> {
                         }
                     } else {
                         // Validate: entry may be stale.
-                        let second_chance = match self.ds[dsi].objects.get_mut(&idx) {
+                        let second_chance = match self.ds[dsi].obj_mut(idx) {
                             Some(ObjState::Local {
                                 pinned: false,
                                 ref_bit,
@@ -1677,7 +1719,7 @@ impl<T: Transport> FarMemRuntime<T> {
             pinned: false,
             remote_copy,
             ..
-        }) = self.ds[dsi].objects.remove(&idx)
+        }) = self.ds[dsi].take_obj(idx)
         else {
             return Ok(0);
         };
@@ -1710,7 +1752,7 @@ impl<T: Transport> FarMemRuntime<T> {
         }
         self.ds[dsi].stats.evictions += 1;
         self.profiler.on_eviction();
-        self.ds[dsi].objects.insert(idx, ObjState::Remote);
+        self.ds[dsi].set_obj(idx, ObjState::Remote);
         // Soundness shield: if a guard ran for this object recently (it may
         // have been elided downstream) or its DS was governor-demoted after
         // guards were compiled away, direct accesses must keep working —
@@ -1771,40 +1813,28 @@ impl<T: Transport> FarMemRuntime<T> {
     /// full cost). Returns cycles charged (copying is free in the model;
     /// the VM charges its own per-access cost).
     pub fn read(&mut self, ptr: FarPtr, buf: &mut [u8]) -> Result<u64, RtError> {
-        self.access_bytes(
-            ptr,
-            Access::Read,
-            buf.len() as u64,
-            |data, range, out| {
-                out.copy_from_slice(&data[range]);
-            },
-            buf,
-        )
+        let len = buf.len() as u64;
+        self.access_bytes(ptr, Access::Read, len, |obj, r, b| {
+            buf[b].copy_from_slice(&obj[r]);
+        })
     }
 
     /// Write `data` at `ptr`. Residency rules as in [`Self::read`].
     pub fn write(&mut self, ptr: FarPtr, data: &[u8]) -> Result<u64, RtError> {
-        // SAFETY of the closure trick: write needs &mut object data and
-        // &data; reuse access_bytes with a writer closure.
-        let mut tmp = data.to_vec();
-        self.access_bytes(
-            ptr,
-            Access::Write,
-            data.len() as u64,
-            |obj, range, src| {
-                obj[range].copy_from_slice(src);
-            },
-            &mut tmp,
-        )
+        self.access_bytes(ptr, Access::Write, data.len() as u64, |obj, r, b| {
+            obj[r].copy_from_slice(&data[b]);
+        })
     }
 
+    /// Access `len` bytes at `ptr` chunk by chunk (one chunk per object):
+    /// `copy(object_bytes, range_in_object, range_in_caller_buffer)` moves
+    /// each chunk between the object and the caller's buffer.
     fn access_bytes(
         &mut self,
         ptr: FarPtr,
         access: Access,
         len: u64,
-        mut copy: impl FnMut(&mut [u8], std::ops::Range<usize>, &mut [u8]),
-        buf: &mut [u8],
+        mut copy: impl FnMut(&mut [u8], Range<usize>, Range<usize>),
     ) -> Result<u64, RtError> {
         let Some(handle) = ptr.handle() else {
             return Err(RtError::BadPointer(ptr.bits()));
@@ -1834,72 +1864,68 @@ impl<T: Transport> FarMemRuntime<T> {
             let idx = cur >> shift;
             let within = cur & (obj_bytes - 1);
             let chunk = (obj_bytes - within).min(len - done);
-            // Residency check. Non-resident objects with a spill permit
-            // (oversize, pin-starved, or governor-demoted after guard
-            // elision) are served directly against the remote tier — legal
-            // even in strict mode, because a guard did run for them.
-            let mut spill = false;
-            if !matches!(self.ds[dsi].objects.get(&idx), Some(ObjState::Local { .. })) {
-                if self.spill_ok.contains(&(handle, idx)) {
-                    spill = true;
-                } else if self.cfg.strict_guards {
-                    return Err(RtError::MissingGuard {
-                        ds: handle,
-                        index: idx,
-                    });
-                } else {
-                    self.ds[dsi].stats.misses += 1;
-                    self.stats.derefs_remote += 1;
-                    let (c, resident) = self.localize(handle, idx)?;
-                    // Usually unattributed (no guard ran); the profiler's
-                    // catch-all bucket keeps site sums == DS sums.
-                    self.profiler.on_miss(c);
-                    cycles += c;
-                    spill = !resident;
-                }
-            }
             let r = within as usize..(within + chunk) as usize;
             let b = done as usize..(done + chunk) as usize;
-            if spill {
-                let key = ObjKey {
-                    ds: handle as u32,
-                    index: idx,
-                };
-                let write = access == Access::Write;
-                let before = cycles;
-                self.tracer.begin(SpanKind::Spill, handle, idx);
-                let mut fetched = self.fetch_with_retry(key, false, &mut cycles)?;
-                cycles += self.cfg.costs.remote_extra;
-                copy(&mut fetched.bytes, r, &mut buf[b]);
-                if write {
-                    self.put_with_retry(key, &fetched.bytes, &mut cycles)?;
-                    self.stats.spill_writes = self.stats.spill_writes.saturating_add(1);
-                } else {
-                    self.stats.spill_reads = self.stats.spill_reads.saturating_add(1);
-                }
-                self.ds[dsi].stats.spills = self.ds[dsi].stats.spills.saturating_add(1);
-                self.profiler.on_spill();
-                self.tracer.end(cycles - before);
-                let cycle = self.stats.cycles;
-                self.telemetry
-                    .record(HistPath::DerefRemote, cycles - before);
-                self.telemetry.emit(
-                    cycle,
-                    EventKind::Spill {
-                        ds: handle,
-                        index: idx,
-                        write,
-                    },
-                );
-                done += chunk;
+            done += chunk;
+            if self.access_resident(dsi, idx, access, |obj| copy(obj, r.clone(), b.clone())) {
                 continue;
             }
-            self.touch(dsi, idx, access);
-            let Some(ObjState::Local { data, .. }) = self.ds[dsi].objects.get_mut(&idx) else {
-                unreachable!("object localized above");
+            // Not resident. Objects with a spill permit (oversize,
+            // pin-starved, or governor-demoted after guard elision) are
+            // served directly against the remote tier — legal even in
+            // strict mode, because a guard did run for them.
+            let spill = if self.spill_ok.contains(&(handle, idx)) {
+                true
+            } else if self.cfg.strict_guards {
+                return Err(RtError::MissingGuard {
+                    ds: handle,
+                    index: idx,
+                });
+            } else {
+                self.ds[dsi].stats.misses += 1;
+                self.stats.derefs_remote += 1;
+                let (c, resident) = self.localize(handle, idx)?;
+                // Usually unattributed (no guard ran); the profiler's
+                // catch-all bucket keeps site sums == DS sums.
+                self.profiler.on_miss(c);
+                cycles += c;
+                !resident
             };
-            copy(data, r, &mut buf[b]);
-            done += chunk;
+            if !spill {
+                let localized = self.access_resident(dsi, idx, access, |obj| copy(obj, r, b));
+                assert!(localized, "object localized above");
+                continue;
+            }
+            let key = ObjKey {
+                ds: handle as u32,
+                index: idx,
+            };
+            let write = access == Access::Write;
+            let before = cycles;
+            self.tracer.begin(SpanKind::Spill, handle, idx);
+            let mut fetched = self.fetch_with_retry(key, false, &mut cycles)?;
+            cycles += self.cfg.costs.remote_extra;
+            copy(&mut fetched.bytes, r, b);
+            if write {
+                self.put_with_retry(key, &fetched.bytes, &mut cycles)?;
+                self.stats.spill_writes = self.stats.spill_writes.saturating_add(1);
+            } else {
+                self.stats.spill_reads = self.stats.spill_reads.saturating_add(1);
+            }
+            self.ds[dsi].stats.spills = self.ds[dsi].stats.spills.saturating_add(1);
+            self.profiler.on_spill();
+            self.tracer.end(cycles - before);
+            let cycle = self.stats.cycles;
+            self.telemetry
+                .record(HistPath::DerefRemote, cycles - before);
+            self.telemetry.emit(
+                cycle,
+                EventKind::Spill {
+                    ds: handle,
+                    index: idx,
+                    write,
+                },
+            );
         }
         self.stats.cycles += cycles;
         self.tracer.op_end(cycles, self.stats.cycles);
@@ -1974,22 +2000,14 @@ impl<T: Transport> FarMemRuntime<T> {
     pub fn quiesce(&mut self) -> Result<u64, RtError> {
         let mut cycles = 0;
         for dsi in 0..self.ds.len() {
-            // HashMap iteration order is nondeterministic; the wire order
-            // (and thus modeled cost attribution) must not be.
-            let mut idxs: Vec<u64> = self.ds[dsi]
-                .objects
-                .iter()
-                .filter_map(|(&i, o)| match o {
-                    ObjState::Local {
-                        dirty, remote_copy, ..
-                    } if *dirty || !*remote_copy => Some(i),
-                    _ => None,
-                })
-                .collect();
-            idxs.sort_unstable();
-            for idx in idxs {
-                let data = match self.ds[dsi].objects.get(&idx) {
-                    Some(ObjState::Local { data, .. }) => data.to_vec(),
+            for idx in 0..self.ds[dsi].objects.len() as u64 {
+                let data = match self.ds[dsi].obj(idx) {
+                    Some(ObjState::Local {
+                        data,
+                        dirty,
+                        remote_copy,
+                        ..
+                    }) if *dirty || !*remote_copy => data.to_vec(),
                     _ => continue,
                 };
                 let key = ObjKey {
@@ -2000,7 +2018,7 @@ impl<T: Transport> FarMemRuntime<T> {
                 self.ds[dsi].stats.writebacks += 1;
                 if let Some(ObjState::Local {
                     dirty, remote_copy, ..
-                }) = self.ds[dsi].objects.get_mut(&idx)
+                }) = self.ds[dsi].obj_mut(idx)
                 {
                     *dirty = false;
                     *remote_copy = true;
@@ -2111,7 +2129,7 @@ impl<T: Transport> FarMemRuntime<T> {
                 }
                 continue;
             }
-            let second_chance = match self.ds[dsi].objects.get_mut(&idx) {
+            let second_chance = match self.ds[dsi].obj_mut(idx) {
                 Some(ObjState::Local {
                     pinned: false,
                     ref_bit,
@@ -2223,14 +2241,13 @@ impl<T: Transport> FarMemRuntime<T> {
         }
     }
 
-    /// Sample every DS's live load for the online solver. Byte sums iterate
-    /// a HashMap, but addition is order-independent, so determinism holds.
+    /// Sample every DS's live load for the online solver.
     fn build_loads(&self) -> Vec<DsLoad> {
         let mut loads = Vec::with_capacity(self.ds.len());
         for (dsi, ds) in self.ds.iter().enumerate() {
             let mut pinned_bytes = 0u64;
             let mut resident_bytes = 0u64;
-            for st in ds.objects.values() {
+            for st in ds.objects.iter().flatten() {
                 if let ObjState::Local {
                     pinned,
                     breaker_pinned,
@@ -2275,7 +2292,7 @@ impl<T: Transport> FarMemRuntime<T> {
             || !self.ds[dsi].pressure_demoted;
         let mut moved = 0u64;
         let mut indices = Vec::new();
-        for (idx, st) in self.ds[dsi].objects.iter_mut() {
+        for (idx, st) in self.ds[dsi].objects_mut() {
             if let ObjState::Local {
                 pinned: pinned @ true,
                 breaker_pinned: false,
@@ -2285,14 +2302,12 @@ impl<T: Transport> FarMemRuntime<T> {
             {
                 *pinned = false;
                 moved += data.len() as u64;
-                indices.push(*idx);
+                indices.push(idx);
             }
         }
         if moved == 0 && !changed_flags {
             return false;
         }
-        // Sorted hand-back: HashMap order must not leak into the clock.
-        indices.sort_unstable();
         self.pinned_used -= moved;
         self.remotable_used += moved;
         for idx in indices {
@@ -2325,7 +2340,7 @@ impl<T: Transport> FarMemRuntime<T> {
             return false;
         }
         let mut bytes = 0u64;
-        for st in self.ds[dsi].objects.values() {
+        for st in self.ds[dsi].objects.iter().flatten() {
             if let ObjState::Local {
                 pinned: false,
                 data,
@@ -2342,7 +2357,7 @@ impl<T: Transport> FarMemRuntime<T> {
         if bytes == 0 && !changed_flags {
             return false;
         }
-        for st in self.ds[dsi].objects.values_mut() {
+        for (_, st) in self.ds[dsi].objects_mut() {
             if let ObjState::Local {
                 pinned: pinned @ false,
                 ..

@@ -8,25 +8,26 @@
 //!
 //! The VM executes far-memory extension instructions (`dsinit`, `dsalloc`,
 //! `guard`, `remotable`) literally, so guard counts, elisions and fast-path
-//! dispatches are *measured*, not estimated.
+//! dispatches are *measured*, not estimated. It executes the decode-once
+//! form (`decode.rs`) built when the VM is constructed.
 
-use cards_ir::{
-    AccessKind, BinOp, BlockId, CastOp, CmpOp, DsMeta, FuncId, GepIdx, Inst, InstId, Intrinsic,
-    Module, Type, Value,
-};
+use std::sync::Arc;
+
+use cards_ir::{BinOp, CastOp, CmpOp, DsMeta, DsMetaId, Intrinsic, Module, Type, Value};
 use cards_net::Transport;
 use cards_runtime::telemetry::EventKind;
 use cards_runtime::{
-    assign_hints_explained, Access, DsSpec, FarMemRuntime, FarPtr, RemotingPolicy, RtError,
-    RuntimeConfig, StaticHint,
+    assign_hints_explained, DsSpec, FarMemRuntime, FarPtr, RemotingPolicy, RtError, RuntimeConfig,
+    StaticHint,
 };
 
+use crate::decode::{decode, DecodedFn, Edge, Op, Opnd};
 use crate::metrics::{CpuModel, VmMetrics};
 
 /// Base of the native address space (so null and small ints never alias).
 const NATIVE_BASE: u64 = 0x1_0000;
 /// Encoded "address" of function `f` is `FUNC_BASE + f` (for indirect calls).
-const FUNC_BASE: u64 = 0x7000_0000_0000;
+pub(crate) const FUNC_BASE: u64 = 0x7000_0000_0000;
 
 /// VM failures (all are hard stops; the VM is deterministic).
 #[derive(Clone, Debug, PartialEq)]
@@ -50,6 +51,16 @@ pub enum VmError {
     BadIndirectCall(u64),
     /// Block ended without a terminator (verifier should prevent this).
     MissingTerminator,
+    /// The called function holds IR the VM cannot execute, found when the
+    /// module was decoded.
+    Malformed {
+        /// Function name.
+        func: String,
+        /// Arena id of the offending instruction.
+        inst: u32,
+        /// What is wrong.
+        what: String,
+    },
 }
 
 impl std::fmt::Display for VmError {
@@ -64,6 +75,9 @@ impl std::fmt::Display for VmError {
             VmError::Runtime(e) => write!(f, "runtime: {e}"),
             VmError::BadIndirectCall(v) => write!(f, "indirect call to non-function {v:#x}"),
             VmError::MissingTerminator => write!(f, "block fell through"),
+            VmError::Malformed { func, inst, what } => {
+                write!(f, "malformed IR in @{func} at %{inst}: {what}")
+            }
         }
     }
 }
@@ -89,6 +103,15 @@ pub struct Vm<T: Transport> {
     registrations: Vec<u32>,
     metrics: VmMetrics,
     max_depth: usize,
+    /// The module in decode-once form, indexed by `FuncId` (shared so
+    /// execution can borrow it while mutating the VM).
+    prog: Arc<[DecodedFn]>,
+    /// Released call frames, reused by later calls.
+    frames: Vec<Vec<u64>>,
+    /// Scratch for a `RemotableCheck`'s evaluated handles.
+    handles: Vec<u16>,
+    /// Scratch for the sources of a parallel phi copy.
+    phi_tmp: Vec<u64>,
 }
 
 impl<T: Transport> Vm<T> {
@@ -145,8 +168,13 @@ impl<T: Transport> Vm<T> {
             registrations: Vec::new(),
             metrics: VmMetrics::default(),
             max_depth: 120,
+            prog: Vec::new().into(),
+            frames: Vec::new(),
+            handles: Vec::new(),
+            phi_tmp: Vec::new(),
         };
         vm.layout_globals();
+        vm.prog = decode(&vm.module, &vm.global_addr).into();
         vm
     }
 
@@ -183,7 +211,9 @@ impl<T: Transport> Vm<T> {
             .module
             .func_by_name(name)
             .ok_or_else(|| VmError::NoSuchFunction(name.to_string()))?;
-        self.call_function(fid, args.to_vec(), 0)
+        let prog = Arc::clone(&self.prog);
+        let frame = self.new_frame(&prog[fid.0 as usize], args.iter().copied());
+        self.call_function(&prog, fid.0 as usize, frame, 0)
     }
 
     /// Metrics accumulated so far.
@@ -239,331 +269,322 @@ impl<T: Transport> Vm<T> {
         self.metrics.cycles += c;
     }
 
+    /// A zeroed frame for `f` (reusing a released one when there is one)
+    /// with its parameter slots taken from `args`; surplus arguments are
+    /// dropped and missing ones read as 0.
+    fn new_frame(&mut self, f: &DecodedFn, args: impl Iterator<Item = u64>) -> Vec<u64> {
+        let mut frame = self.frames.pop().unwrap_or_default();
+        frame.clear();
+        frame.resize(f.nslots, 0);
+        for (slot, a) in frame.iter_mut().zip(args.take(f.nargs)) {
+            *slot = a;
+        }
+        frame
+    }
+
+    /// Run function `fid` of `prog` over `frame`, whose parameter slots
+    /// the caller has filled. The frame returns to the pool afterwards.
     fn call_function(
         &mut self,
-        fid: FuncId,
-        args: Vec<u64>,
+        prog: &[DecodedFn],
+        fid: usize,
+        mut frame: Vec<u64>,
         depth: usize,
     ) -> Result<Option<u64>, VmError> {
-        if depth > self.max_depth {
-            return Err(VmError::StackOverflow);
-        }
-        let ninsts = self.module.func(fid).insts.len();
-        let mut regs: Vec<u64> = vec![0; ninsts];
-        let mut block = self.module.func(fid).entry();
-        let mut prev: Option<BlockId> = None;
+        let f = &prog[fid];
+        let r = if depth > self.max_depth {
+            Err(VmError::StackOverflow)
+        } else if let Some(e) = &f.malformed {
+            Err(e.clone())
+        } else {
+            self.exec(prog, f, &mut frame, depth)
+        };
+        self.frames.push(frame);
+        r
+    }
 
-        'blocks: loop {
-            // Phase 1: phis (parallel evaluation against predecessor).
-            let insts = self.module.func(fid).block(block).insts.clone();
-            let mut phi_writes: Vec<(InstId, u64)> = Vec::new();
-            for &iid in &insts {
-                let Inst::Phi { incoming, .. } = self.module.func(fid).inst(iid) else {
-                    break;
-                };
-                let from = prev.expect("phi in entry block");
-                let v = incoming
-                    .iter()
-                    .find(|&&(b, _)| b == from)
-                    .map(|&(_, v)| v)
-                    .expect("verified phi has incoming for pred");
-                phi_writes.push((iid, self.eval(v, &args, &regs)));
+    /// Evaluate call arguments from the caller's `frame` into a fresh
+    /// frame for `callee`, then run it.
+    fn call(
+        &mut self,
+        prog: &[DecodedFn],
+        callee: usize,
+        args: &[Opnd],
+        frame: &[u64],
+        depth: usize,
+    ) -> Result<u64, VmError> {
+        let args = args.iter().map(|a| a.eval(frame));
+        let callee_frame = self.new_frame(&prog[callee], args);
+        self.metrics.calls += 1;
+        self.charge(self.cpu.call);
+        Ok(self
+            .call_function(prog, callee, callee_frame, depth + 1)?
+            .unwrap_or(0))
+    }
+
+    /// Take `e`: perform its phi copies (as one parallel assignment, each
+    /// copy one executed phi) and return the target op index.
+    fn take_edge(&mut self, f: &DecodedFn, e: Edge, frame: &mut [u64]) -> usize {
+        let copies = &f.copies[e.copies.range()];
+        if e.parallel {
+            self.phi_tmp.clear();
+            self.phi_tmp
+                .extend(copies.iter().map(|&(_, src)| src.eval(frame)));
+            for (&(dst, _), &v) in copies.iter().zip(&self.phi_tmp) {
+                frame[dst as usize] = v;
             }
-            for (iid, v) in phi_writes {
-                regs[iid.0 as usize] = v;
-                self.metrics.instructions += 1;
-                self.charge(self.cpu.alu);
+        } else {
+            for &(dst, src) in copies {
+                frame[dst as usize] = src.eval(frame);
             }
-            // Phase 2: the rest.
-            for (pos, &iid) in insts.iter().enumerate() {
-                let inst = self.module.func(fid).inst(iid).clone();
-                if matches!(inst, Inst::Phi { .. }) {
-                    continue;
+        }
+        let n = copies.len() as u64;
+        self.metrics.instructions += n;
+        self.charge(self.cpu.alu * n);
+        e.pc as usize
+    }
+
+    fn exec(
+        &mut self,
+        prog: &[DecodedFn],
+        f: &DecodedFn,
+        frame: &mut [u64],
+        depth: usize,
+    ) -> Result<Option<u64>, VmError> {
+        let mut pc = 0;
+        loop {
+            let op = f.ops[pc];
+            pc += 1;
+            self.metrics.instructions += 1;
+            match op {
+                Op::Alloc { dst, size } => {
+                    let sz = size.eval(frame);
+                    self.charge(self.cpu.alloc);
+                    frame[dst as usize] = self.native_alloc(sz);
                 }
-                self.metrics.instructions += 1;
-                match inst {
-                    Inst::Alloc { size, .. } => {
-                        let sz = self.eval(size, &args, &regs);
-                        self.charge(self.cpu.alloc);
-                        let addr = self.native_alloc(sz);
-                        regs[iid.0 as usize] = addr;
-                    }
-                    Inst::AllocStack { ty } => {
-                        let sz = self.module.types.size_of(ty);
-                        self.charge(self.cpu.alloc / 10 + 1);
-                        let addr = self.native_alloc(sz);
-                        regs[iid.0 as usize] = addr;
-                    }
-                    Inst::Free { ptr } => {
-                        let p = self.eval(ptr, &args, &regs);
-                        let fp = FarPtr(p);
-                        self.charge(self.cpu.alloc / 2);
-                        if fp.is_tagged() {
-                            let c = self.runtime.free(fp)?;
-                            self.charge(c);
-                        }
-                    }
-                    Inst::Load { ptr, ty } => {
-                        let p = self.eval(ptr, &args, &regs);
-                        let v = self.mem_read(p, ty)?;
-                        self.metrics.loads += 1;
-                        self.charge(self.cpu.mem);
-                        regs[iid.0 as usize] = v;
-                    }
-                    Inst::Store { ptr, val, ty } => {
-                        let p = self.eval(ptr, &args, &regs);
-                        let v = self.eval(val, &args, &regs);
-                        self.metrics.stores += 1;
-                        self.charge(self.cpu.mem);
-                        self.mem_write(p, v, ty)?;
-                    }
-                    Inst::Gep {
-                        base,
-                        pointee,
-                        indices,
-                    } => {
-                        let b = self.eval(base, &args, &regs);
-                        let disp = self.gep_disp(pointee, &indices, &args, &regs);
-                        self.charge(self.cpu.alu);
-                        regs[iid.0 as usize] = b.wrapping_add(disp);
-                    }
-                    Inst::Bin { op, lhs, rhs, ty } => {
-                        let a = self.eval(lhs, &args, &regs);
-                        let b = self.eval(rhs, &args, &regs);
-                        self.charge(self.cpu.alu);
-                        regs[iid.0 as usize] = bin_op(op, a, b, ty)?;
-                    }
-                    Inst::Cmp { op, lhs, rhs } => {
-                        let a = self.eval(lhs, &args, &regs);
-                        let b = self.eval(rhs, &args, &regs);
-                        self.charge(self.cpu.alu);
-                        regs[iid.0 as usize] = cmp_op(op, a, b) as u64;
-                    }
-                    Inst::Cast { op, val, to } => {
-                        let v = self.eval(val, &args, &regs);
-                        self.charge(self.cpu.alu);
-                        regs[iid.0 as usize] = cast_op(op, v, to);
-                    }
-                    Inst::Select {
-                        cond,
-                        then_v,
-                        else_v,
-                        ..
-                    } => {
-                        let c = self.eval(cond, &args, &regs);
-                        self.charge(self.cpu.alu);
-                        regs[iid.0 as usize] = if c != 0 {
-                            self.eval(then_v, &args, &regs)
-                        } else {
-                            self.eval(else_v, &args, &regs)
-                        };
-                    }
-                    Inst::Intrin { which, args: ia } => {
-                        let vals: Vec<u64> =
-                            ia.iter().map(|&v| self.eval(v, &args, &regs)).collect();
-                        self.charge(self.cpu.intrin);
-                        regs[iid.0 as usize] = intrin_op(which, &vals);
-                    }
-                    Inst::Call { callee, args: ca } => {
-                        let vals: Vec<u64> =
-                            ca.iter().map(|&v| self.eval(v, &args, &regs)).collect();
-                        self.metrics.calls += 1;
-                        self.charge(self.cpu.call);
-                        let r = self.call_function(callee, vals, depth + 1)?;
-                        regs[iid.0 as usize] = r.unwrap_or(0);
-                    }
-                    Inst::CallIndirect {
-                        callee, args: ca, ..
-                    } => {
-                        let target = self.eval(callee, &args, &regs);
-                        if !(FUNC_BASE..FUNC_BASE + self.module.functions.len() as u64)
-                            .contains(&target)
-                        {
-                            return Err(VmError::BadIndirectCall(target));
-                        }
-                        let f = FuncId((target - FUNC_BASE) as u32);
-                        let vals: Vec<u64> =
-                            ca.iter().map(|&v| self.eval(v, &args, &regs)).collect();
-                        self.metrics.calls += 1;
-                        self.charge(self.cpu.call);
-                        let r = self.call_function(f, vals, depth + 1)?;
-                        regs[iid.0 as usize] = r.unwrap_or(0);
-                    }
-                    Inst::Br { target } => {
-                        self.charge(self.cpu.branch);
-                        prev = Some(block);
-                        block = target;
-                        continue 'blocks;
-                    }
-                    Inst::CondBr {
-                        cond,
-                        then_b,
-                        else_b,
-                    } => {
-                        let c = self.eval(cond, &args, &regs);
-                        self.charge(self.cpu.branch);
-                        // Track fast-path dispatch: a condbr directly fed by
-                        // a RemotableCheck is the versioning dispatch.
-                        if let Value::Inst(ci) = cond {
-                            if matches!(self.module.func(fid).inst(ci), Inst::RemotableCheck { .. })
-                            {
-                                if c != 0 {
-                                    self.metrics.slow_path_taken += 1;
-                                } else {
-                                    self.metrics.fast_path_taken += 1;
-                                }
-                                let cycle = self.runtime.now();
-                                self.runtime
-                                    .telemetry_mut()
-                                    .emit(cycle, EventKind::Dispatch { slow: c != 0 });
-                                if let Some(site) = self.module.sites.lookup(fid, ci) {
-                                    self.runtime.profiler_mut().on_dispatch(site.0, c != 0);
-                                }
-                            }
-                        }
-                        prev = Some(block);
-                        block = if c != 0 { then_b } else { else_b };
-                        continue 'blocks;
-                    }
-                    Inst::Ret { val } => {
-                        self.charge(self.cpu.branch);
-                        return Ok(val.map(|v| self.eval(v, &args, &regs)));
-                    }
-                    Inst::DsInit { meta } => {
-                        let spec = spec_from_meta(&self.module, self.module.ds_meta(meta));
-                        let hint = self.hints[meta.0 as usize];
-                        let h = self.runtime.register_ds(spec, hint);
-                        self.registrations.push(meta.0);
-                        self.charge(100);
-                        regs[iid.0 as usize] = h as u64;
-                    }
-                    Inst::DsAlloc { size, handle } => {
-                        let sz = self.eval(size, &args, &regs);
-                        let h = self.eval(handle, &args, &regs) as u16;
-                        let (p, c) = self.runtime.ds_alloc(h, sz)?;
-                        self.charge(self.cpu.alloc + c);
-                        regs[iid.0 as usize] = p.bits();
-                    }
-                    Inst::Guard { ptr, access, bytes } => {
-                        let p = self.eval(ptr, &args, &regs);
-                        self.metrics.guards += 1;
-                        let acc = match access {
-                            AccessKind::Read => Access::Read,
-                            AccessKind::Write => Access::Write,
-                        };
-                        // Surface the executing site to the profiler so the
-                        // runtime charges this check's cost to it.
-                        let site = self.module.sites.lookup(fid, iid).map(|s| s.0);
-                        self.runtime.profiler_mut().set_current(site);
-                        let r = self.runtime.guard(FarPtr(p), acc, bytes);
-                        self.runtime.profiler_mut().set_current(None);
-                        let c = r?;
+                Op::AllocStack { dst, size } => {
+                    self.charge(self.cpu.alloc / 10 + 1);
+                    frame[dst as usize] = self.native_alloc(size);
+                }
+                Op::Free { ptr } => {
+                    let fp = FarPtr(ptr.eval(frame));
+                    self.charge(self.cpu.alloc / 2);
+                    if fp.is_tagged() {
+                        let c = self.runtime.free(fp)?;
                         self.charge(c);
-                        regs[iid.0 as usize] = p; // localized ptr == same bits
                     }
-                    Inst::RemotableCheck { handles } => {
-                        let hs: Vec<u16> = handles
+                }
+                Op::Load {
+                    dst,
+                    ptr,
+                    width,
+                    ty,
+                } => {
+                    let v = self.mem_read(ptr.eval(frame), width as usize, ty)?;
+                    self.metrics.loads += 1;
+                    self.charge(self.cpu.mem);
+                    frame[dst as usize] = v;
+                }
+                Op::Store { ptr, val, width } => {
+                    let (p, v) = (ptr.eval(frame), val.eval(frame));
+                    self.metrics.stores += 1;
+                    self.charge(self.cpu.mem);
+                    self.mem_write(p, v, width as usize)?;
+                }
+                Op::Gep {
+                    dst,
+                    base,
+                    disp,
+                    terms,
+                } => {
+                    let mut a = base.eval(frame).wrapping_add(disp);
+                    for &(o, scale) in &f.terms[terms.range()] {
+                        a = a.wrapping_add(o.eval(frame).wrapping_mul(scale));
+                    }
+                    self.charge(self.cpu.alu);
+                    frame[dst as usize] = a;
+                }
+                Op::Bin {
+                    dst,
+                    op,
+                    lhs,
+                    rhs,
+                    ty,
+                } => {
+                    let (a, b) = (lhs.eval(frame), rhs.eval(frame));
+                    self.charge(self.cpu.alu);
+                    frame[dst as usize] = bin_op(op, a, b, ty)?;
+                }
+                Op::Cmp { dst, op, lhs, rhs } => {
+                    let (a, b) = (lhs.eval(frame), rhs.eval(frame));
+                    self.charge(self.cpu.alu);
+                    frame[dst as usize] = cmp_op(op, a, b) as u64;
+                }
+                Op::Cast { dst, op, val, to } => {
+                    let v = val.eval(frame);
+                    self.charge(self.cpu.alu);
+                    frame[dst as usize] = cast_op(op, v, to);
+                }
+                Op::Select {
+                    dst,
+                    cond,
+                    then_v,
+                    else_v,
+                } => {
+                    self.charge(self.cpu.alu);
+                    frame[dst as usize] = if cond.eval(frame) != 0 {
+                        then_v.eval(frame)
+                    } else {
+                        else_v.eval(frame)
+                    };
+                }
+                Op::Intrin { dst, which, a, b } => {
+                    let (a, b) = (a.eval(frame), b.eval(frame));
+                    self.charge(self.cpu.intrin);
+                    frame[dst as usize] = intrin_op(which, a, b);
+                }
+                Op::Call { dst, callee, args } => {
+                    let args = &f.operands[args.range()];
+                    frame[dst as usize] = self.call(prog, callee as usize, args, frame, depth)?;
+                }
+                Op::CallIndirect { dst, callee, args } => {
+                    let target = callee.eval(frame);
+                    if !(FUNC_BASE..FUNC_BASE + prog.len() as u64).contains(&target) {
+                        return Err(VmError::BadIndirectCall(target));
+                    }
+                    let args = &f.operands[args.range()];
+                    let callee = (target - FUNC_BASE) as usize;
+                    frame[dst as usize] = self.call(prog, callee, args, frame, depth)?;
+                }
+                Op::Br { to } => {
+                    self.charge(self.cpu.branch);
+                    pc = self.take_edge(f, to, frame);
+                }
+                Op::CondBr {
+                    cond,
+                    then_e,
+                    else_e,
+                } => {
+                    let c = cond.eval(frame);
+                    self.charge(self.cpu.branch);
+                    pc = self.take_edge(f, if c != 0 { then_e } else { else_e }, frame);
+                }
+                Op::Dispatch {
+                    cond,
+                    then_e,
+                    else_e,
+                    site,
+                } => {
+                    let slow = cond.eval(frame) != 0;
+                    self.charge(self.cpu.branch);
+                    if slow {
+                        self.metrics.slow_path_taken += 1;
+                    } else {
+                        self.metrics.fast_path_taken += 1;
+                    }
+                    let cycle = self.runtime.now();
+                    self.runtime
+                        .telemetry_mut()
+                        .emit(cycle, EventKind::Dispatch { slow });
+                    if let Some(site) = site {
+                        self.runtime.profiler_mut().on_dispatch(site, slow);
+                    }
+                    pc = self.take_edge(f, if slow { then_e } else { else_e }, frame);
+                }
+                Op::Ret { val } => {
+                    self.charge(self.cpu.branch);
+                    return Ok(val.map(|v| v.eval(frame)));
+                }
+                Op::DsInit { dst, meta } => {
+                    let spec = spec_from_meta(&self.module, self.module.ds_meta(DsMetaId(meta)));
+                    let hint = self.hints[meta as usize];
+                    let h = self.runtime.register_ds(spec, hint);
+                    self.registrations.push(meta);
+                    self.charge(100);
+                    frame[dst as usize] = h as u64;
+                }
+                Op::DsAlloc { dst, size, handle } => {
+                    let sz = size.eval(frame);
+                    let h = handle.eval(frame) as u16;
+                    let (p, c) = self.runtime.ds_alloc(h, sz)?;
+                    self.charge(self.cpu.alloc + c);
+                    frame[dst as usize] = p.bits();
+                }
+                Op::Guard {
+                    dst,
+                    ptr,
+                    access,
+                    bytes,
+                    site,
+                } => {
+                    let p = ptr.eval(frame);
+                    self.metrics.guards += 1;
+                    // Surface the executing site to the profiler so the
+                    // runtime charges this check's cost to it.
+                    self.runtime.profiler_mut().set_current(site);
+                    let r = self.runtime.guard(FarPtr(p), access, bytes);
+                    self.runtime.profiler_mut().set_current(None);
+                    let c = r?;
+                    self.charge(c);
+                    frame[dst as usize] = p; // localized ptr == same bits
+                }
+                Op::RemotableCheck { dst, handles } => {
+                    self.handles.clear();
+                    self.handles.extend(
+                        f.operands[handles.range()]
                             .iter()
-                            .map(|&h| self.eval(h, &args, &regs) as u16)
-                            .collect();
-                        self.metrics.remotable_checks += 1;
-                        let (any, c) = self.runtime.remotable_check(&hs);
-                        self.charge(c);
-                        regs[iid.0 as usize] = any as u64;
-                    }
-                    Inst::Phi { .. } => unreachable!(),
+                            .map(|h| h.eval(frame) as u16),
+                    );
+                    self.metrics.remotable_checks += 1;
+                    let (any, c) = self.runtime.remotable_check(&self.handles);
+                    self.charge(c);
+                    frame[dst as usize] = any as u64;
                 }
-                // a block must end with its terminator
-                if pos + 1 == insts.len() {
+                Op::FallThrough => {
+                    // Not an instruction: the block simply ended.
+                    self.metrics.instructions -= 1;
                     return Err(VmError::MissingTerminator);
                 }
             }
-            return Err(VmError::MissingTerminator);
         }
     }
 
-    fn eval(&self, v: Value, args: &[u64], regs: &[u64]) -> u64 {
-        match v {
-            Value::Arg(i) => args.get(i as usize).copied().unwrap_or(0),
-            Value::Inst(i) => regs[i.0 as usize],
-            Value::ConstInt(c) => c as u64,
-            Value::ConstFloat(b) => b,
-            Value::Global(g) => self.global_addr[g.0 as usize],
-            Value::Func(f) => FUNC_BASE + f.0 as u64,
-            Value::Null => 0,
-            Value::Undef => 0,
-        }
-    }
-
-    fn gep_disp(&self, pointee: Type, indices: &[GepIdx], args: &[u64], regs: &[u64]) -> u64 {
-        let types = &self.module.types;
-        let mut disp = 0u64;
-        let mut cur = pointee;
-        for (k, ix) in indices.iter().enumerate() {
-            match ix {
-                GepIdx::Field(n) => {
-                    if let Type::Struct(sid) = cur {
-                        disp = disp.wrapping_add(types.field_offset(sid, *n));
-                        cur = types.struct_ty(sid).fields[*n as usize];
-                    }
-                }
-                GepIdx::Index(v) => {
-                    let idx = self.eval(*v, args, regs);
-                    let sz = if k == 0 {
-                        types.size_of(cur)
-                    } else if let Type::Array(a) = cur {
-                        let at = types.array_ty(a);
-                        cur = at.elem;
-                        types.size_of(at.elem)
-                    } else {
-                        types.size_of(cur)
-                    };
-                    disp = disp.wrapping_add(idx.wrapping_mul(sz));
-                }
-            }
-        }
-        disp
-    }
-
-    fn mem_read(&mut self, ptr: u64, ty: Type) -> Result<u64, VmError> {
-        let size = self.module.types.size_of(ty).clamp(1, 8) as usize;
+    fn mem_read(&mut self, ptr: u64, size: usize, ty: Type) -> Result<u64, VmError> {
         let mut buf = [0u8; 8];
         let fp = FarPtr(ptr);
         if fp.is_tagged() {
             let c = self.runtime.read(fp, &mut buf[..size])?;
             self.charge(c);
         } else {
-            let a = ptr as usize;
-            if a < NATIVE_BASE as usize || a + size > self.native.len() {
-                return Err(VmError::NativeOob {
-                    addr: ptr,
-                    bytes: size as u64,
-                });
-            }
+            let a = self.native_index(ptr, size)?;
             buf[..size].copy_from_slice(&self.native[a..a + size]);
         }
-        let raw = u64::from_le_bytes(buf);
-        Ok(extend(raw, ty))
+        Ok(extend(u64::from_le_bytes(buf), ty))
     }
 
-    fn mem_write(&mut self, ptr: u64, val: u64, ty: Type) -> Result<(), VmError> {
-        let size = self.module.types.size_of(ty).clamp(1, 8) as usize;
+    fn mem_write(&mut self, ptr: u64, val: u64, size: usize) -> Result<(), VmError> {
         let bytes = val.to_le_bytes();
         let fp = FarPtr(ptr);
         if fp.is_tagged() {
             let c = self.runtime.write(fp, &bytes[..size])?;
             self.charge(c);
         } else {
-            let a = ptr as usize;
-            if a < NATIVE_BASE as usize || a + size > self.native.len() {
-                return Err(VmError::NativeOob {
-                    addr: ptr,
-                    bytes: size as u64,
-                });
-            }
+            let a = self.native_index(ptr, size)?;
             self.native[a..a + size].copy_from_slice(&bytes[..size]);
         }
         Ok(())
+    }
+
+    /// Bounds-check a native access of `size` bytes at `ptr`.
+    fn native_index(&self, ptr: u64, size: usize) -> Result<usize, VmError> {
+        let a = ptr as usize;
+        if a < NATIVE_BASE as usize || a.saturating_add(size) > self.native.len() {
+            return Err(VmError::NativeOob {
+                addr: ptr,
+                bytes: size as u64,
+            });
+        }
+        Ok(a)
     }
 }
 
@@ -622,13 +643,13 @@ fn cast_op(op: CastOp, v: u64, to: Type) -> u64 {
     }
 }
 
-fn intrin_op(which: Intrinsic, args: &[u64]) -> u64 {
+fn intrin_op(which: Intrinsic, a: u64, b: u64) -> u64 {
     match which {
-        Intrinsic::Hash64 => splitmix64(args[0]),
-        Intrinsic::Sqrt => f64::from_bits(args[0]).sqrt().to_bits(),
-        Intrinsic::AbsI64 => (args[0] as i64).wrapping_abs() as u64,
-        Intrinsic::MinI64 => (args[0] as i64).min(args[1] as i64) as u64,
-        Intrinsic::MaxI64 => (args[0] as i64).max(args[1] as i64) as u64,
+        Intrinsic::Hash64 => splitmix64(a),
+        Intrinsic::Sqrt => f64::from_bits(a).sqrt().to_bits(),
+        Intrinsic::AbsI64 => (a as i64).wrapping_abs() as u64,
+        Intrinsic::MinI64 => (a as i64).min(b as i64) as u64,
+        Intrinsic::MaxI64 => (a as i64).max(b as i64) as u64,
     }
 }
 

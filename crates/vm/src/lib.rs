@@ -7,6 +7,7 @@
 //! and correctness oracle) and *transformed* ones (pool-allocated, guarded,
 //! versioned), so pipeline effects are measured end to end.
 
+mod decode;
 pub mod failover;
 pub mod fleet;
 pub mod interp;
