@@ -3,7 +3,9 @@
 use std::fs;
 
 use cards_baselines::{run_system, MemoryBudget, System};
+use cards_difftest::{run_campaign, CampaignConfig, CampaignReport, CellStats, RunConfig};
 use cards_dsa::ModuleDsa;
+use cards_ir::testgen::GenConfig;
 use cards_ir::{parse_module, print_module, verify_module, Module};
 use cards_net::{FaultyTransport, SimTransport};
 use cards_passes::{compile, CompileOptions};
@@ -55,19 +57,20 @@ usage:
                 per-workload instructions/sec, remote cycles and p50/p99
                 guard latency)
   cards demo    listing1|analytics|bfs|fdtd|pagerank|kvstore|\n                micro-array|micro-vector|micro-list|micro-map
-  cards difftest [--seeds N] [--start-seed N] [--minimize] [--out DIR]
-                (seed count falls back to $DIFFTEST_SEEDS, then 50; exits
-                non-zero and writes reproducers to DIR on any divergence)
-  cards chaos   [--seeds N] [--start-seed N]
-                (fuzz the chaos matrix: loss bursts, latency spikes,
-                partitions, corruption, server crash/restart; prints a
-                degraded-vs-healthy summary and exits non-zero on any
-                divergence from the all-local oracle)
-  cards pressure [--seeds N] [--start-seed N]
-                (fuzz the memory-pressure matrix: squeeze, cliff and
-                sawtooth budget schedules under the governor; prints a
-                per-cell governor summary and exits non-zero on any
-                divergence from the all-local oracle)
+  cards difftest|chaos|pressure [--seeds N] [--start-seed N] [--minimize]
+                [--out DIR]
+                (fuzz generated programs through a differential matrix
+                against the all-local oracle. difftest: pipelines x
+                policies x {clean, 20% faults} plus chaos and pressure
+                samples; chaos: loss bursts, latency spikes, partitions,
+                corruption and server crash/restart, also under a pinned
+                budget; pressure: squeeze, cliff and sawtooth budget
+                schedules under the governor, also composed with storm
+                and crash-loop chaos. Prints per-cell counters and the
+                cycle overhead over each cell's clean twin; seed count
+                falls back to $DIFFTEST_SEEDS, then 50; exits non-zero and
+                writes reproducers to DIR (default target/difftest, or its
+                chaos/ and pressure/ subdirectories) on any divergence)
   cards serve   [--workers N] [--shards N] [--replicas N] [--keys N]
                 [--tenants N] [--ops N] [--train N] [--window N]
                 (concurrent serving tier: N worker VMs over the sharded
@@ -111,9 +114,9 @@ pub fn dispatch(a: &Args) -> Result<(), String> {
         "ttrace" => crate::ttrace_cmd::cmd_ttrace(a),
         "bench" => cmd_bench(a),
         "demo" => cmd_demo(a),
-        "difftest" => cmd_difftest(a),
-        "chaos" => cmd_chaos(a),
-        "pressure" => cmd_pressure(a),
+        "difftest" => cmd_campaign(a, &DIFFTEST),
+        "chaos" => cmd_campaign(a, &CHAOS),
+        "pressure" => cmd_campaign(a, &PRESSURE),
         "serve" => cmd_serve(a),
         "failover" => cmd_failover(a),
         "fleet" => crate::fleet_cmd::cmd_fleet(a),
@@ -397,7 +400,67 @@ fn cmd_demo(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_difftest(a: &Args) -> Result<(), String> {
+/// A per-cell counter column: header and how to read it off the summed stats.
+type Column = (&'static str, fn(&CellStats) -> u64);
+
+/// A fuzzing campaign over one differential matrix: the matrix, the
+/// program generator, where reproducers go, and the per-cell counter
+/// columns to print next to the overhead over each cell's clean twin.
+struct Preset {
+    name: &'static str,
+    matrix: fn() -> Vec<RunConfig>,
+    gen: fn() -> GenConfig,
+    out_dir: &'static str,
+    columns: &'static [Column],
+}
+
+const DIFFTEST: Preset = Preset {
+    name: "difftest",
+    matrix: cards_difftest::config_matrix,
+    gen: GenConfig::adversarial,
+    out_dir: "target/difftest",
+    columns: &[
+        ("retries", |s| s.runtime.retries),
+        ("crashes", |s| s.runtime.crashes_detected),
+        ("phases", |s| s.runtime.pressure_phase_changes),
+    ],
+};
+
+const CHAOS: Preset = Preset {
+    name: "chaos",
+    matrix: cards_difftest::chaos_matrix,
+    gen: GenConfig::chaos,
+    out_dir: "target/difftest/chaos",
+    columns: &[
+        ("retries", |s| s.runtime.retries),
+        ("timeout", |s| s.runtime.timeouts),
+        ("corrupt", |s| s.runtime.corrupt_fetches),
+        ("crashes", |s| s.runtime.crashes_detected),
+        ("replays", |s| s.runtime.journal_replays),
+        ("trips", |s| s.breaker_trips),
+    ],
+};
+
+const PRESSURE: Preset = Preset {
+    name: "pressure",
+    matrix: cards_difftest::pressure_matrix,
+    gen: GenConfig::chaos,
+    out_dir: "target/difftest/pressure",
+    columns: &[
+        ("p_high", |s| s.runtime.pressure_high_crossings),
+        ("proact", |s| s.runtime.proactive_evictions),
+        ("phases", |s| s.runtime.pressure_phase_changes),
+        ("resolve", |s| s.runtime.resolves),
+        ("demoted", |s| s.runtime.hint_demotions),
+        ("promote", |s| s.runtime.hint_promotions),
+        ("spills", |s| s.runtime.spill_reads + s.runtime.spill_writes),
+        ("starved", |s| s.runtime.pin_starvations),
+        ("crashes", |s| s.runtime.crashes_detected),
+    ],
+};
+
+/// The campaign options every preset shares.
+fn campaign_config(a: &Args, p: &Preset) -> Result<CampaignConfig, String> {
     let seeds: u64 = if a.options.contains_key("seeds") {
         a.opt_num("seeds", 50u64)?
     } else {
@@ -408,152 +471,57 @@ fn cmd_difftest(a: &Args) -> Result<(), String> {
             Err(_) => 50,
         }
     };
-    let out_dir = a
-        .options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "target/difftest".to_string());
-    let cfg = cards_difftest::CampaignConfig {
+    Ok(CampaignConfig {
         seeds,
         start_seed: a.opt_num("start-seed", 1u64)?,
-        gen: cards_ir::testgen::GenConfig::adversarial(),
+        gen: (p.gen)(),
         minimize: a.has_flag("minimize"),
-        out_dir: Some(out_dir.clone().into()),
-    };
-    let r = cards_difftest::run_campaign(&cfg).map_err(|e| e.to_string())?;
+        out_dir: Some(a.opt_or("out", p.out_dir).into()),
+    })
+}
+
+fn print_table(p: &Preset, r: &CampaignReport) {
+    let w = r.cells.iter().map(|c| c.label.len()).max().unwrap_or(0);
+    let mut head = format!("{:<w$}", "cell");
+    for (name, _) in p.columns {
+        head += &format!(" {name:>7}");
+    }
+    println!("{head} {:>9}", "overhead");
+    for c in &r.cells {
+        let mut row = format!("{:<w$}", c.label);
+        for (_, counter) in p.columns {
+            row += &format!(" {:>7}", counter(&c.stats));
+        }
+        println!("{row} {:>8.2}x", c.overhead());
+    }
+}
+
+fn cmd_campaign(a: &Args, p: &Preset) -> Result<(), String> {
+    let cfg = campaign_config(a, p)?;
+    let r = run_campaign(&(p.matrix)(), &cfg).map_err(|e| e.to_string())?;
     println!(
-        "difftest: {} seed(s) x {} configuration(s): {} divergent",
+        "{}: {} seed(s) x {} cell(s): {} divergent",
+        p.name,
         r.seeds_run,
-        r.configs_per_seed,
+        r.cells.len(),
         r.divergent.len()
     );
+    print_table(p, &r);
     if r.divergent.is_empty() {
+        println!("every cell matched the all-local oracle on every seed");
         return Ok(());
     }
     for line in &r.log {
         eprintln!("{line}");
     }
-    for p in &r.artifacts {
-        eprintln!("wrote {}", p.display());
+    for path in &r.artifacts {
+        eprintln!("wrote {}", path.display());
     }
     Err(format!(
         "{} diverging seed(s) {:?}; reproducers under {}",
         r.divergent.len(),
         r.divergent,
-        out_dir
-    ))
-}
-
-fn cmd_chaos(a: &Args) -> Result<(), String> {
-    let seeds: u64 = a.opt_num("seeds", 50u64)?;
-    let start_seed: u64 = a.opt_num("start-seed", 1u64)?;
-    let r = cards_difftest::run_chaos_campaign(
-        seeds,
-        start_seed,
-        cards_ir::testgen::GenConfig::chaos(),
-    );
-    println!(
-        "chaos: {} seed(s) x {} cell(s): {} divergent",
-        r.seeds_run,
-        r.cells.len(),
-        r.divergent.len()
-    );
-    println!(
-        "{:<34} {:>7} {:>7} {:>7} {:>7} {:>7} {:>6} {:>9}",
-        "cell", "retries", "timeout", "corrupt", "crashes", "replays", "trips", "overhead"
-    );
-    for c in &r.cells {
-        let s = &c.stats;
-        let overhead = if s.clean_cycles > 0 {
-            s.chaos_cycles as f64 / s.clean_cycles as f64
-        } else {
-            1.0
-        };
-        println!(
-            "{:<34} {:>7} {:>7} {:>7} {:>7} {:>7} {:>6} {:>8.2}x",
-            c.label,
-            s.retries,
-            s.timeouts,
-            s.corrupt_fetches,
-            s.crashes_detected,
-            s.journal_replays,
-            s.breaker_trips,
-            overhead,
-        );
-    }
-    if r.divergent.is_empty() {
-        println!("degraded runs matched the all-local oracle on every seed");
-        return Ok(());
-    }
-    for line in &r.log {
-        eprintln!("{line}");
-    }
-    Err(format!(
-        "{} diverging seed(s) under chaos: {:?}",
-        r.divergent.len(),
-        r.divergent
-    ))
-}
-
-fn cmd_pressure(a: &Args) -> Result<(), String> {
-    let seeds: u64 = a.opt_num("seeds", 50u64)?;
-    let start_seed: u64 = a.opt_num("start-seed", 1u64)?;
-    let r = cards_difftest::run_pressure_campaign(
-        seeds,
-        start_seed,
-        cards_ir::testgen::GenConfig::chaos(),
-    );
-    println!(
-        "pressure: {} seed(s) x {} cell(s): {} divergent",
-        r.seeds_run,
-        r.cells.len(),
-        r.divergent.len()
-    );
-    println!(
-        "{:<38} {:>6} {:>7} {:>6} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9}",
-        "cell",
-        "p_high",
-        "proact",
-        "phases",
-        "resolve",
-        "demoted",
-        "promote",
-        "spills",
-        "starved",
-        "overhead"
-    );
-    for c in &r.cells {
-        let s = &c.stats;
-        let overhead = if s.clean_cycles > 0 {
-            s.pressured_cycles as f64 / s.clean_cycles as f64
-        } else {
-            1.0
-        };
-        println!(
-            "{:<38} {:>6} {:>7} {:>6} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8.2}x",
-            c.label,
-            s.pressure_high_crossings,
-            s.proactive_evictions,
-            s.phase_changes,
-            s.resolves,
-            s.hint_demotions,
-            s.hint_promotions,
-            s.spills,
-            s.pin_starvations,
-            overhead,
-        );
-    }
-    if r.divergent.is_empty() {
-        println!("pressured runs matched the all-local oracle on every seed");
-        return Ok(());
-    }
-    for line in &r.log {
-        eprintln!("{line}");
-    }
-    Err(format!(
-        "{} diverging seed(s) under pressure: {:?}",
-        r.divergent.len(),
-        r.divergent
+        cfg.out_dir.unwrap_or_default().display()
     ))
 }
 

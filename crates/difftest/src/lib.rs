@@ -1,14 +1,21 @@
 //! # cards-difftest
 //!
-//! Differential-testing oracle for the CaRDS pass pipeline.
+//! Differential-testing oracle for the CaRDS pass pipeline and runtime.
 //!
 //! [`cards_ir::testgen`] produces seeded programs that exercise the
 //! far-memory surface (DS-rooted allocation chains, pointer chasing, strided
 //! loops, calls, frees, phis over DS pointers). Each seed is first executed
 //! on an uninstrumented all-local VM — the *oracle* — and then under every
-//! pipeline configuration (optimizer only, TrackFM guard-all, full CaRDS)
-//! crossed with the paper's four remoting policies and multiple fault
-//! schedules. Two observables are compared:
+//! cell of a matrix. A cell ([`RunConfig`]) picks a pipeline (optimizer
+//! only, TrackFM guard-all, full CaRDS), one of the paper's four remoting
+//! policies, the local-memory budgets, and two fault axes that compose:
+//!
+//! - the **transport** axis ([`TransportSpec`]): clean, Bernoulli transient
+//!   faults, or a phase-scripted chaos schedule (storm, crash loop);
+//! - the **pressure** axis ([`PressureSpec`]): a budget schedule answered by
+//!   the memory-pressure governor, on top of any transport.
+//!
+//! Two observables are compared:
 //!
 //! - the program's final return value (a checksum over everything computed),
 //! - the heap digest the program accumulates in its `@digest` global (a
@@ -17,8 +24,12 @@
 //!
 //! Any mismatch is a miscompile (or a runtime/VM bug) by construction: the
 //! transformations are supposed to be semantics-preserving under every
-//! policy and any transient-fault schedule. Divergent seeds are shrunk by
-//! delta debugging ([`minimize`]) and persisted as reproducers.
+//! policy, budget and fault schedule. One campaign loop ([`run_campaign`])
+//! drives any matrix; [`config_matrix`], [`chaos_matrix`] and
+//! [`pressure_matrix`] are the presets behind `cards difftest`, `cards
+//! chaos` and `cards pressure`. It sums each cell's runtime counters and
+//! its modeled-cycle overhead over a clean twin, shrinks divergent seeds by
+//! delta debugging ([`minimize`]), and persists them as reproducers.
 
 pub mod minimize;
 
@@ -30,9 +41,11 @@ use std::path::{Path, PathBuf};
 
 use cards_ir::testgen::{generate, GenConfig};
 use cards_ir::{print_module, verify_module, Module};
-use cards_net::{ChaosSchedule, ChaosTransport, FaultyTransport, SimTransport};
+use cards_net::{ChaosSchedule, ChaosTransport, FaultyTransport, SimTransport, Transport};
 use cards_passes::{compile, optimize, CompileOptions};
-use cards_runtime::{PressureConfig, PressureSchedule, RemotingPolicy, RuntimeConfig};
+use cards_runtime::{
+    PressureConfig, PressureSchedule, RemotingPolicy, RuntimeConfig, RuntimeStats,
+};
 use cards_vm::Vm;
 
 /// What one execution of a program looks like from the outside. Two runs of
@@ -46,6 +59,16 @@ pub struct Observation {
     /// Trap/compile failure, rendered to a string. A trapping program must
     /// trap identically in every configuration.
     pub error: Option<String>,
+}
+
+impl Observation {
+    fn failed(error: String) -> Self {
+        Observation {
+            ret: None,
+            digest: None,
+            error: Some(error),
+        }
+    }
 }
 
 impl fmt::Display for Observation {
@@ -71,31 +94,23 @@ pub enum Pipeline {
     Cards,
 }
 
-/// A deterministic transient-fault schedule applied to the transport.
+/// The transport axis: what the network does to a cell's remote traffic.
+/// Bernoulli noise fails operations independently; the chaos schedules
+/// drive *correlated* failure phases (loss bursts, latency spikes,
+/// partitions, payload corruption, server crash/restart), and their
+/// crashes actually lose unacknowledged server state — the runtime's
+/// journal must win it back.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultSpec {
-    /// Probability in [0,1] that a fetch/put fails with `Transient`.
-    pub rate: f64,
-    /// Seed for the fault PRNG.
-    pub seed: u64,
-}
-
-impl FaultSpec {
-    /// No injected faults.
-    pub fn none() -> Self {
-        FaultSpec { rate: 0.0, seed: 0 }
-    }
-}
-
-/// A phase-scripted chaos schedule on the transport (loss bursts, latency
-/// spikes, partitions, payload corruption, server crash/restart). Unlike
-/// [`FaultSpec`]'s Bernoulli noise this drives *correlated* failures, and
-/// the crash variants actually lose unacknowledged server state — the
-/// runtime's journal must win it back.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaosSpec {
-    /// Plain transport (possibly with [`FaultSpec`] noise).
-    None,
+pub enum TransportSpec {
+    /// A reliable transport.
+    Clean,
+    /// Independent transient faults ([`FaultyTransport`]).
+    Faulty {
+        /// Probability in [0,1] that a fetch/put fails with `Transient`.
+        rate: f64,
+        /// Seed for the fault PRNG.
+        seed: u64,
+    },
     /// [`ChaosSchedule::storm`]: every phase kind including one
     /// crash/restart per lap.
     Storm(u64),
@@ -103,20 +118,35 @@ pub enum ChaosSpec {
     Crash(u64),
 }
 
-impl ChaosSpec {
-    fn schedule(self) -> Option<ChaosSchedule> {
+impl TransportSpec {
+    fn build(self) -> Box<dyn Transport> {
         match self {
-            ChaosSpec::None => None,
-            ChaosSpec::Storm(seed) => Some(ChaosSchedule::storm(seed)),
-            ChaosSpec::Crash(seed) => Some(ChaosSchedule::crash_loop(seed)),
+            TransportSpec::Clean => Box::new(SimTransport::default()),
+            TransportSpec::Faulty { rate, seed } => {
+                Box::new(FaultyTransport::new(SimTransport::default(), rate, seed))
+            }
+            TransportSpec::Storm(seed) => Box::new(ChaosTransport::new(ChaosSchedule::storm(seed))),
+            TransportSpec::Crash(seed) => {
+                Box::new(ChaosTransport::new(ChaosSchedule::crash_loop(seed)))
+            }
         }
     }
 }
 
-/// A deterministic memory-pressure schedule on the runtime's local tier
-/// (the third fault axis, symmetric to [`ChaosSpec`] on the transport):
-/// budgets shrink and recover mid-run, the governor evicts, spills, and
-/// re-solves — and none of it may change observable behaviour.
+const CLEAN: TransportSpec = TransportSpec::Clean;
+/// The Bernoulli schedule the difftest matrix crosses every far cell with:
+/// a deterministic 20% transient-fault storm the runtime must retry through.
+const FAULTY: TransportSpec = TransportSpec::Faulty {
+    rate: 0.2,
+    seed: 0xfa17,
+};
+const STORM: TransportSpec = TransportSpec::Storm(0xca05);
+const CRASH: TransportSpec = TransportSpec::Crash(0xca05);
+
+/// The pressure axis: a deterministic memory-pressure schedule on the
+/// runtime's local tier. Budgets shrink and recover mid-run, the governor
+/// evicts, spills, and re-solves — and none of it may change observable
+/// behaviour.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PressureSpec {
     /// Full budgets throughout, governor off.
@@ -151,18 +181,17 @@ impl PressureSpec {
     }
 }
 
-/// One cell of the differential matrix.
+/// One cell of a differential matrix.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunConfig {
     /// Pipeline slice under test.
     pub pipeline: Pipeline,
     /// Remoting policy handed to the VM.
     pub policy: RemotingPolicy,
-    /// Transient-fault schedule on the transport.
-    pub fault: FaultSpec,
-    /// Phase-scripted chaos schedule (supersedes `fault` when set).
-    pub chaos: ChaosSpec,
-    /// Memory-pressure schedule (enables the governor when set).
+    /// What the transport does to remote traffic.
+    pub transport: TransportSpec,
+    /// Memory-pressure schedule (enables the governor when set); applies on
+    /// top of any transport.
     pub pressure: PressureSpec,
     /// Pinned-memory budget in bytes.
     pub pinned: u64,
@@ -173,7 +202,11 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Short human-readable label, used in reports and file names.
+    /// Short human-readable label, used in reports and file names:
+    /// `pipeline/policy[/transport][/pressure-KIND][/pinnedNk]`. A far cell
+    /// spells its pinned budget out unless it is the default for its kind:
+    /// nothing pinned, or four objects under a pressure schedule (which
+    /// needs something to shrink).
     pub fn label(&self) -> String {
         let pipe = match self.pipeline {
             Pipeline::OptOnly => "opt-only",
@@ -187,34 +220,56 @@ impl RunConfig {
             RemotingPolicy::MaxReach => "max-reach".to_string(),
             RemotingPolicy::MaxUse => "max-use".to_string(),
         };
-        let base = match self.chaos {
-            ChaosSpec::Storm(seed) => format!("{pipe}/{pol}/chaos-storm@{seed}"),
-            ChaosSpec::Crash(seed) => format!("{pipe}/{pol}/chaos-crash@{seed}"),
-            ChaosSpec::None if self.fault.rate > 0.0 => format!(
-                "{pipe}/{pol}/fault{:.2}@{}",
-                self.fault.rate, self.fault.seed
-            ),
-            ChaosSpec::None => format!("{pipe}/{pol}"),
-        };
-        if self.pressure != PressureSpec::None {
-            format!("{base}/pressure-{}", self.pressure.name())
+        let mut label = format!("{pipe}/{pol}");
+        match self.transport {
+            TransportSpec::Clean => {}
+            TransportSpec::Faulty { rate, seed } => label += &format!("/fault{rate:.2}@{seed}"),
+            TransportSpec::Storm(seed) => label += &format!("/chaos-storm@{seed}"),
+            TransportSpec::Crash(seed) => label += &format!("/chaos-crash@{seed}"),
+        }
+        let default_pinned = if self.pressure == PressureSpec::None {
+            0
         } else {
-            base
+            label += &format!("/pressure-{}", self.pressure.name());
+            FOUR_PINNED.0
+        };
+        if self.pinned != default_pinned && self.pipeline != Pipeline::OptOnly {
+            label += &format!("/pinned{}k", self.pinned / 1024);
+        }
+        label
+    }
+
+    /// The same cell with a clean transport and no pressure: the baseline
+    /// a degraded cell's cycle overhead is measured against.
+    pub fn clean(&self) -> RunConfig {
+        RunConfig {
+            transport: TransportSpec::Clean,
+            pressure: PressureSpec::None,
+            ..*self
         }
     }
-}
 
-/// The fault schedules every far configuration is crossed with: a clean
-/// transport and a deterministic 20% transient-fault storm (the runtime must
-/// retry its way through without observable effect).
-pub fn fault_schedules() -> [FaultSpec; 2] {
-    [
-        FaultSpec::none(),
-        FaultSpec {
-            rate: 0.2,
-            seed: 0xfa17,
-        },
-    ]
+    /// A VM running `module` (already prepared for this cell's pipeline)
+    /// under this cell's budgets, policy, transport and pressure schedule.
+    fn vm(&self, module: Module) -> Vm<Box<dyn Transport>> {
+        let mut rt = RuntimeConfig::new(self.pinned, self.cache);
+        if matches!(
+            self.transport,
+            TransportSpec::Storm(_) | TransportSpec::Crash(_)
+        ) {
+            // The retry budget must cover the schedule's longest all-fail
+            // window (bounded at <= 12 ops by a cards-net test).
+            rt = rt.with_max_retries(32);
+        }
+        if self.pressure != PressureSpec::None {
+            rt = rt.with_pressure(PressureConfig::governed());
+        }
+        let mut vm = Vm::new(module, rt, self.transport.build(), self.policy, self.k);
+        if let Some(sched) = self.pressure.schedule() {
+            vm.runtime_mut().set_pressure_schedule(sched);
+        }
+        vm
+    }
 }
 
 /// The paper's four remoting policies.
@@ -227,604 +282,279 @@ pub fn policies() -> [RemotingPolicy; 4] {
     ]
 }
 
-/// The full differential matrix: one all-local optimizer-only run, plus
-/// {TrackFM, CaRDS} × four policies × the fault schedules, every far run
-/// under a deliberately tiny cache so data actually churns through the
-/// remote side.
+const FAR: [Pipeline; 2] = [Pipeline::TrackFm, Pipeline::Cards];
+
+/// The oracle's configuration, which is also every matrix's optimizer-only
+/// cell: all-local budgets on a clean transport.
+const ALL_LOCAL: RunConfig = RunConfig {
+    pipeline: Pipeline::OptOnly,
+    policy: RemotingPolicy::Linear,
+    transport: TransportSpec::Clean,
+    pressure: PressureSpec::None,
+    pinned: 1 << 30,
+    cache: 1 << 30,
+    k: 100,
+};
+
+/// Local-memory budgets `(pinned, cache)` in bytes. Every far cell runs
+/// under a deliberately tiny cache so data churns through the remote side.
+type Budget = (u64, u64);
+/// Nothing pinned, six objects cached: the Bernoulli-fault cells.
+const SIX_CACHED: Budget = (0, 6 * 4096);
+/// Nothing pinned, two objects cached: chaos phases only matter if data
+/// actually moves, so force churn even on small programs.
+const TWO_CACHED: Budget = (0, 2 * 4096);
+/// Four objects pinned, four cached: a pinned budget for pressure schedules
+/// to shrink, and a cache small enough that watermark sweeps fire.
+const FOUR_PINNED: Budget = (4 * 4096, 4 * 4096);
+
+/// The cell the replay-determinism check runs — one of [`config_matrix`]'s:
+/// full CaRDS under max-use with Bernoulli faults, so a program whose data
+/// leaves the cache puts retries into every export. Difftest's adversarial
+/// programs mostly stay cache-resident; the chaos generator's do not.
+const REPLAY_CELL: RunConfig = far(
+    Pipeline::Cards,
+    RemotingPolicy::MaxUse,
+    FAULTY,
+    PressureSpec::None,
+    SIX_CACHED,
+);
+
+/// A far-memory cell at policy threshold 50.
+const fn far(
+    pipeline: Pipeline,
+    policy: RemotingPolicy,
+    transport: TransportSpec,
+    pressure: PressureSpec,
+    (pinned, cache): Budget,
+) -> RunConfig {
+    RunConfig {
+        pipeline,
+        policy,
+        transport,
+        pressure,
+        pinned,
+        cache,
+        k: 50,
+    }
+}
+
+/// The differential matrix behind `cards difftest` (25 cells): the
+/// all-local optimizer-only cell, {TrackFM, CaRDS} × four policies ×
+/// {clean, 20% Bernoulli faults}, and a sample of four chaos and four
+/// pressure cells ([`chaos_matrix`] and [`pressure_matrix`] widen those).
 pub fn config_matrix() -> Vec<RunConfig> {
-    let mut v = vec![RunConfig {
-        pipeline: Pipeline::OptOnly,
-        policy: RemotingPolicy::Linear,
-        fault: FaultSpec::none(),
-        chaos: ChaosSpec::None,
-        pressure: PressureSpec::None,
-        pinned: 1 << 30,
-        cache: 1 << 30,
-        k: 100,
-    }];
-    for pipeline in [Pipeline::TrackFm, Pipeline::Cards] {
+    use PressureSpec::{Cliff, Sawtooth, Squeeze};
+    let mut v = vec![ALL_LOCAL];
+    for pipeline in FAR {
         for policy in policies() {
-            for fault in fault_schedules() {
-                v.push(RunConfig {
+            for transport in [CLEAN, FAULTY] {
+                v.push(far(
                     pipeline,
                     policy,
-                    fault,
-                    chaos: ChaosSpec::None,
-                    pressure: PressureSpec::None,
-                    pinned: 0,
-                    cache: 6 * 4096,
-                    k: 50,
-                });
+                    transport,
+                    PressureSpec::None,
+                    SIX_CACHED,
+                ));
             }
         }
     }
-    // Chaos cells: correlated failure phases plus real crash/restart data
-    // loss. A sample, not the full cross product — `chaos_matrix` widens
-    // this for the dedicated `cards chaos` campaign.
-    for (pipeline, chaos, policy) in [
-        (
-            Pipeline::TrackFm,
-            ChaosSpec::Storm(0xca05),
-            RemotingPolicy::Linear,
-        ),
-        (
-            Pipeline::TrackFm,
-            ChaosSpec::Crash(0xca05),
-            RemotingPolicy::MaxUse,
-        ),
-        (
-            Pipeline::Cards,
-            ChaosSpec::Storm(0xca05),
-            RemotingPolicy::MaxUse,
-        ),
-        (
-            Pipeline::Cards,
-            ChaosSpec::Crash(0xca05),
-            RemotingPolicy::Linear,
-        ),
+    for (pipeline, transport, policy) in [
+        (Pipeline::TrackFm, STORM, RemotingPolicy::Linear),
+        (Pipeline::TrackFm, CRASH, RemotingPolicy::MaxUse),
+        (Pipeline::Cards, STORM, RemotingPolicy::MaxUse),
+        (Pipeline::Cards, CRASH, RemotingPolicy::Linear),
     ] {
-        v.push(RunConfig {
+        v.push(far(
             pipeline,
             policy,
-            fault: FaultSpec::none(),
-            chaos,
-            pressure: PressureSpec::None,
-            pinned: 0,
-            // Tighter than the fault cells: the chaos phases only matter
-            // if data actually moves, so force churn even on small
-            // programs.
-            cache: 2 * 4096,
-            k: 50,
-        });
+            transport,
+            PressureSpec::None,
+            TWO_CACHED,
+        ));
     }
-    // Pressure cells: the local tier starves mid-run while the governor
-    // evicts, spills, and re-solves. A sample, not the full cross product —
-    // `pressure_matrix` widens this for the dedicated `cards pressure`
-    // campaign.
     for (pipeline, pressure, policy) in [
-        (
-            Pipeline::Cards,
-            PressureSpec::Squeeze,
-            RemotingPolicy::MaxUse,
-        ),
-        (
-            Pipeline::Cards,
-            PressureSpec::Sawtooth,
-            RemotingPolicy::Linear,
-        ),
-        (
-            Pipeline::Cards,
-            PressureSpec::Cliff,
-            RemotingPolicy::Random { seed: 9 },
-        ),
-        (
-            Pipeline::TrackFm,
-            PressureSpec::Squeeze,
-            RemotingPolicy::MaxReach,
-        ),
+        (Pipeline::Cards, Squeeze, RemotingPolicy::MaxUse),
+        (Pipeline::Cards, Sawtooth, RemotingPolicy::Linear),
+        (Pipeline::Cards, Cliff, RemotingPolicy::Random { seed: 9 }),
+        (Pipeline::TrackFm, Squeeze, RemotingPolicy::MaxReach),
     ] {
-        v.push(RunConfig {
-            pipeline,
-            policy,
-            fault: FaultSpec::none(),
-            chaos: ChaosSpec::None,
-            pressure,
-            // A real pinned budget so schedules have something to shrink,
-            // and a small cache so watermark sweeps actually fire.
-            pinned: 4 * 4096,
-            cache: 4 * 4096,
-            k: 50,
-        });
+        v.push(far(pipeline, policy, CLEAN, pressure, FOUR_PINNED));
     }
     v
 }
 
-/// The widened chaos matrix behind `cards chaos`: {TrackFM, CaRDS} × the
-/// four policies × {storm, crash-loop}. Every cell must still match the
-/// all-local oracle — chaos may cost cycles, never correctness.
+/// The chaos preset behind `cards chaos` (20 cells): {TrackFM, CaRDS} × the
+/// four policies × {storm, crash loop} with nothing pinned, plus {TrackFM,
+/// CaRDS} × {storm, crash loop} with four objects pinned. With nothing
+/// pinned every policy places alike; a pinned budget splits the structures
+/// between the pinned set and a small cache, and that is where crashes land
+/// on flushes and re-puts the journal must still cover. Chaos may cost
+/// cycles, never correctness.
 pub fn chaos_matrix() -> Vec<RunConfig> {
     let mut v = Vec::new();
-    for pipeline in [Pipeline::TrackFm, Pipeline::Cards] {
+    for pipeline in FAR {
         for policy in policies() {
-            for chaos in [ChaosSpec::Storm(0xca05), ChaosSpec::Crash(0xca05)] {
-                v.push(RunConfig {
+            for transport in [STORM, CRASH] {
+                v.push(far(
                     pipeline,
                     policy,
-                    fault: FaultSpec::none(),
-                    chaos,
-                    pressure: PressureSpec::None,
-                    pinned: 0,
-                    cache: 2 * 4096,
-                    k: 50,
-                });
+                    transport,
+                    PressureSpec::None,
+                    TWO_CACHED,
+                ));
             }
+        }
+    }
+    // At this budget TrackFM keeps nearly everything local; max-use is the
+    // placement that still leaves it remote traffic.
+    for (pipeline, policy) in [
+        (Pipeline::TrackFm, RemotingPolicy::MaxUse),
+        (Pipeline::Cards, RemotingPolicy::Linear),
+    ] {
+        for transport in [STORM, CRASH] {
+            v.push(far(
+                pipeline,
+                policy,
+                transport,
+                PressureSpec::None,
+                FOUR_PINNED,
+            ));
         }
     }
     v
 }
 
-/// The widened pressure matrix behind `cards pressure`: {TrackFM, CaRDS} ×
-/// the four policies × {squeeze, cliff, sawtooth}. Every cell must still
-/// match the all-local oracle — pressure may cost cycles, never
-/// correctness.
+/// The pressure preset behind `cards pressure` (36 cells): {TrackFM,
+/// CaRDS} × the four policies × {squeeze, cliff, sawtooth} on a clean
+/// transport, plus the composed cells — {TrackFM, CaRDS} × {storm, crash
+/// loop} × the three schedules, one policy per cell rotating through the
+/// four — where the network fails while the local tier starves. Pressure
+/// may cost cycles, never correctness.
 pub fn pressure_matrix() -> Vec<RunConfig> {
+    use PressureSpec::{Cliff, Sawtooth, Squeeze};
     let mut v = Vec::new();
-    for pipeline in [Pipeline::TrackFm, Pipeline::Cards] {
+    for pipeline in FAR {
         for policy in policies() {
-            for pressure in [
-                PressureSpec::Squeeze,
-                PressureSpec::Cliff,
-                PressureSpec::Sawtooth,
-            ] {
-                v.push(RunConfig {
-                    pipeline,
-                    policy,
-                    fault: FaultSpec::none(),
-                    chaos: ChaosSpec::None,
-                    pressure,
-                    pinned: 4 * 4096,
-                    cache: 4 * 4096,
-                    k: 50,
-                });
+            for pressure in [Squeeze, Cliff, Sawtooth] {
+                v.push(far(pipeline, policy, CLEAN, pressure, FOUR_PINNED));
+            }
+        }
+    }
+    let mut rotation = policies().into_iter().cycle();
+    for pipeline in FAR {
+        for transport in [STORM, CRASH] {
+            for pressure in [Squeeze, Cliff, Sawtooth] {
+                let policy = rotation.next().expect("an endless rotation");
+                v.push(far(pipeline, policy, transport, pressure, FOUR_PINNED));
             }
         }
     }
     v
 }
 
-fn observe_run<T: cards_net::Transport>(mut vm: Vm<T>) -> Observation {
-    match vm.run("main", &[]) {
+/// Counters harvested from one cell run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CellStats {
+    /// The runtime's own counters: retries, timeouts, crashes, journal
+    /// replays, governor activity, modeled cycles.
+    pub runtime: RuntimeStats,
+    /// Circuit-breaker trips summed over every data structure.
+    pub breaker_trips: u64,
+}
+
+/// Optimize and re-verify `m` (a pass that emits malformed IR is reported
+/// as an error observation rather than crashing the VM), then compile it
+/// for the far pipelines.
+fn prepare(m: &Module, pipeline: Pipeline) -> Result<Module, String> {
+    let mut module = m.clone();
+    optimize(&mut module);
+    if let Some(e) = verify_module(&module).first() {
+        return Err(format!("post-optimize verify failed: {e:?}"));
+    }
+    let opts = match pipeline {
+        Pipeline::OptOnly => return Ok(module),
+        Pipeline::TrackFm => CompileOptions::trackfm(),
+        Pipeline::Cards => CompileOptions::cards(),
+    };
+    compile(module, opts)
+        .map(|c| c.module)
+        .map_err(|e| format!("compile failed: {e}"))
+}
+
+fn run(mut vm: Vm<Box<dyn Transport>>) -> (Observation, CellStats) {
+    let obs = match vm.run("main", &[]) {
         Ok(ret) => Observation {
             ret,
             digest: vm.global_u64("digest"),
             error: None,
         },
-        Err(e) => Observation {
-            ret: None,
-            digest: None,
-            error: Some(e.to_string()),
-        },
-    }
+        Err(e) => Observation::failed(e.to_string()),
+    };
+    let rt = vm.runtime();
+    let stats = CellStats {
+        runtime: rt.stats(),
+        breaker_trips: (0..rt.ds_count() as u16)
+            .filter_map(|h| rt.ds_stats(h))
+            .map(|s| s.breaker_trips)
+            .sum(),
+    };
+    (obs, stats)
 }
 
 /// Run `m` untransformed and unoptimized on plain local memory — the ground
 /// truth every configuration is compared against.
 pub fn observe_oracle(m: &Module) -> Observation {
-    let vm = Vm::new(
-        m.clone(),
-        RuntimeConfig::new(1 << 30, 1 << 30),
-        SimTransport::default(),
-        RemotingPolicy::Linear,
-        100,
-    );
-    observe_run(vm)
+    run(ALL_LOCAL.vm(m.clone())).0
 }
 
-/// Run `m` under one matrix cell. The module is optimized, re-verified (a
-/// pass that emits malformed IR is reported as an error observation rather
-/// than crashing the VM), then — for the far pipelines — compiled and
-/// executed against a fault-injecting transport.
-pub fn observe(m: &Module, cfg: &RunConfig) -> Observation {
-    let mut module = m.clone();
-    optimize(&mut module);
-    let errs = verify_module(&module);
-    if !errs.is_empty() {
-        return Observation {
-            ret: None,
-            digest: None,
-            error: Some(format!("post-optimize verify failed: {:?}", errs[0])),
-        };
+/// Run `m` under one matrix cell: optimized, re-verified, compiled for the
+/// cell's pipeline, then executed under its budgets, transport and pressure
+/// schedule. Returns what the program computed and the run's counters.
+pub fn observe(m: &Module, cfg: &RunConfig) -> (Observation, CellStats) {
+    match prepare(m, cfg.pipeline) {
+        Ok(module) => run(cfg.vm(module)),
+        Err(e) => (Observation::failed(e), CellStats::default()),
     }
-    let opts = match cfg.pipeline {
-        Pipeline::OptOnly => {
-            let vm = Vm::new(
-                module,
-                RuntimeConfig::new(cfg.pinned, cfg.cache),
-                SimTransport::default(),
-                cfg.policy,
-                cfg.k,
-            );
-            return observe_run(vm);
-        }
-        Pipeline::TrackFm => CompileOptions::trackfm(),
-        Pipeline::Cards => CompileOptions::cards(),
+}
+
+/// The replay-determinism cell: compiling the same program twice must yield
+/// an identical attribution-site table (site IDs are a function of the
+/// program, not of compile order), and running each compile once under
+/// [`REPLAY_CELL`] must emit byte-identical profile JSON and causal-trace
+/// export (`cards-ttrace-v1`), with the trace cross-sums intact. Profiles
+/// and spans are keyed off the modeled clock and deterministic ids, so a
+/// wall-clock or iteration-order leak shows up here as a byte diff — which
+/// would poison every cross-run diff.
+pub fn check_replay_determinism(m: &Module) -> Result<(), String> {
+    let cfg = REPLAY_CELL;
+    // Uncompilable programs have nothing to destabilize.
+    let Ok(first) = prepare(m, cfg.pipeline) else {
+        return Ok(());
     };
-    let compiled = match compile(module, opts) {
-        Ok(c) => c,
-        Err(e) => {
-            return Observation {
-                ret: None,
-                digest: None,
-                error: Some(format!("compile failed: {e}")),
-            }
-        }
-    };
-    if let Some(sched) = cfg.chaos.schedule() {
-        // The retry budget must cover the schedule's longest all-fail
-        // window (bounded at <= 12 ops by a cards-net test).
-        let vm = Vm::new(
-            compiled.module,
-            RuntimeConfig::new(cfg.pinned, cfg.cache).with_max_retries(32),
-            ChaosTransport::new(sched),
-            cfg.policy,
-            cfg.k,
-        );
-        return observe_run(vm);
+    let second = prepare(m, cfg.pipeline).map_err(|e| format!("recompile: {e}"))?;
+    if first.sites != second.sites {
+        return Err(format!(
+            "site table unstable across recompiles: {} vs {} sites",
+            first.sites.len(),
+            second.sites.len()
+        ));
     }
-    let mut rt_cfg = RuntimeConfig::new(cfg.pinned, cfg.cache);
-    if cfg.pressure != PressureSpec::None {
-        rt_cfg = rt_cfg.with_pressure(PressureConfig::governed());
+    let export = |module: Module| {
+        let mut vm = cfg.vm(module);
+        // A trapping program must profile and trace identically too.
+        let _ = vm.run("main", &[]);
+        cards_vm::check_traces(&vm)?;
+        Ok::<_, String>((cards_vm::profile_json(&vm), cards_vm::ttrace_json(&vm)))
+    };
+    let ((profile_a, trace_a), (profile_b, trace_b)) = (export(first)?, export(second)?);
+    if profile_a != profile_b {
+        return Err("profile output not byte-identical under same-seed replay".into());
     }
-    let mut vm = Vm::new(
-        compiled.module,
-        rt_cfg,
-        FaultyTransport::new(SimTransport::default(), cfg.fault.rate, cfg.fault.seed),
-        cfg.policy,
-        cfg.k,
-    );
-    if let Some(sched) = cfg.pressure.schedule() {
-        vm.runtime_mut().set_pressure_schedule(sched);
+    if trace_a != trace_b {
+        return Err("trace export not byte-identical under same-seed replay".into());
     }
-    observe_run(vm)
-}
-
-/// Resilience counters harvested from one chaos run (plus its clean twin's
-/// cycle count, for the degraded-vs-healthy comparison).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ChaosRunStats {
-    /// Transport retries the chaos run needed.
-    pub retries: u64,
-    /// Operations that timed out (partitions, crash windows).
-    pub timeouts: u64,
-    /// Fetches that failed envelope verification.
-    pub corrupt_fetches: u64,
-    /// Server crash/restarts detected via generation bumps.
-    pub crashes_detected: u64,
-    /// Journaled writebacks replayed after a crash.
-    pub journal_replays: u64,
-    /// Circuit-breaker trips summed over all data structures.
-    pub breaker_trips: u64,
-    /// Modeled cycles of the chaos run.
-    pub chaos_cycles: u64,
-    /// Modeled cycles of the same cell with a clean transport.
-    pub clean_cycles: u64,
-}
-
-/// Run one chaos cell and harvest both the observation and the resilience
-/// counters, plus a clean-transport twin of the same cell for the cycle
-/// baseline. Panics if `cfg.chaos` is `ChaosSpec::None`.
-pub fn observe_chaos(m: &Module, cfg: &RunConfig) -> (Observation, ChaosRunStats) {
-    let sched = cfg
-        .chaos
-        .schedule()
-        .expect("observe_chaos requires a chaos cell");
-    let mut module = m.clone();
-    optimize(&mut module);
-    let opts = match cfg.pipeline {
-        Pipeline::OptOnly => panic!("chaos cells are far-memory cells"),
-        Pipeline::TrackFm => CompileOptions::trackfm(),
-        Pipeline::Cards => CompileOptions::cards(),
-    };
-    let compiled = match compile(module, opts) {
-        Ok(c) => c,
-        Err(e) => {
-            return (
-                Observation {
-                    ret: None,
-                    digest: None,
-                    error: Some(format!("compile failed: {e}")),
-                },
-                ChaosRunStats::default(),
-            )
-        }
-    };
-    let mut vm = Vm::new(
-        compiled.module.clone(),
-        RuntimeConfig::new(cfg.pinned, cfg.cache).with_max_retries(32),
-        ChaosTransport::new(sched),
-        cfg.policy,
-        cfg.k,
-    );
-    let obs = match vm.run("main", &[]) {
-        Ok(ret) => Observation {
-            ret,
-            digest: vm.global_u64("digest"),
-            error: None,
-        },
-        Err(e) => Observation {
-            ret: None,
-            digest: None,
-            error: Some(e.to_string()),
-        },
-    };
-    let rt = vm.runtime();
-    let g = rt.stats();
-    let mut stats = ChaosRunStats {
-        retries: g.retries,
-        timeouts: g.timeouts,
-        corrupt_fetches: g.corrupt_fetches,
-        crashes_detected: g.crashes_detected,
-        journal_replays: g.journal_replays,
-        breaker_trips: (0..rt.ds_count() as u16)
-            .filter_map(|h| rt.ds_stats(h))
-            .map(|s| s.breaker_trips)
-            .sum(),
-        chaos_cycles: g.cycles,
-        clean_cycles: 0,
-    };
-    let mut clean_vm = Vm::new(
-        compiled.module,
-        RuntimeConfig::new(cfg.pinned, cfg.cache),
-        SimTransport::default(),
-        cfg.policy,
-        cfg.k,
-    );
-    let _ = clean_vm.run("main", &[]);
-    stats.clean_cycles = clean_vm.runtime().stats().cycles;
-    (obs, stats)
-}
-
-/// Aggregated outcome of one chaos-matrix cell across a whole campaign.
-#[derive(Clone, Debug, Default)]
-pub struct ChaosCellReport {
-    /// The cell's [`RunConfig::label`].
-    pub label: String,
-    /// Seeds that diverged from the all-local oracle in this cell.
-    pub divergent: Vec<u64>,
-    /// Summed resilience counters over every seed.
-    pub stats: ChaosRunStats,
-}
-
-/// Outcome of [`run_chaos_campaign`].
-#[derive(Clone, Debug, Default)]
-pub struct ChaosReport {
-    /// Seeds executed.
-    pub seeds_run: u64,
-    /// Per-cell aggregates, in [`chaos_matrix`] order.
-    pub cells: Vec<ChaosCellReport>,
-    /// Seeds with at least one diverging cell.
-    pub divergent: Vec<u64>,
-    /// One human-readable line per divergence.
-    pub log: Vec<String>,
-}
-
-/// Fuzz `seeds` generated programs through [`chaos_matrix`]: every cell
-/// must match the all-local oracle even through loss bursts, partitions,
-/// corruption, and server crash/restarts.
-pub fn run_chaos_campaign(seeds: u64, start_seed: u64, gen: GenConfig) -> ChaosReport {
-    let matrix = chaos_matrix();
-    let mut report = ChaosReport {
-        cells: matrix
-            .iter()
-            .map(|c| ChaosCellReport {
-                label: c.label(),
-                ..Default::default()
-            })
-            .collect(),
-        ..Default::default()
-    };
-    for seed in start_seed..start_seed + seeds {
-        let module = generate(seed, gen);
-        let oracle = observe_oracle(&module);
-        report.seeds_run += 1;
-        let mut seed_diverged = false;
-        for (i, cfg) in matrix.iter().enumerate() {
-            let (got, stats) = observe_chaos(&module, cfg);
-            let cell = &mut report.cells[i];
-            cell.stats.retries += stats.retries;
-            cell.stats.timeouts += stats.timeouts;
-            cell.stats.corrupt_fetches += stats.corrupt_fetches;
-            cell.stats.crashes_detected += stats.crashes_detected;
-            cell.stats.journal_replays += stats.journal_replays;
-            cell.stats.breaker_trips += stats.breaker_trips;
-            cell.stats.chaos_cycles += stats.chaos_cycles;
-            cell.stats.clean_cycles += stats.clean_cycles;
-            if got != oracle {
-                cell.divergent.push(seed);
-                seed_diverged = true;
-                report.log.push(format!(
-                    "seed {seed} [{}]: oracle {oracle} vs {got}",
-                    cfg.label()
-                ));
-            }
-        }
-        if seed_diverged {
-            report.divergent.push(seed);
-        }
-    }
-    report
-}
-
-/// Pressure counters harvested from one governed run (plus its unpressured
-/// twin's cycle count, for the degraded-vs-healthy comparison).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PressureRunStats {
-    /// High-watermark crossings.
-    pub pressure_high_crossings: u64,
-    /// Objects evicted by proactive watermark sweeps.
-    pub proactive_evictions: u64,
-    /// Pressure-schedule phase changes that fired.
-    pub phase_changes: u64,
-    /// Online policy re-solves applied.
-    pub resolves: u64,
-    /// Hint demotions applied by re-solves.
-    pub hint_demotions: u64,
-    /// Hint promotions applied by re-solves.
-    pub hint_promotions: u64,
-    /// Reads + writes served directly from the remote tier (spills).
-    pub spills: u64,
-    /// Pin-starvation reliefs (guard window shrunk under pressure).
-    pub pin_starvations: u64,
-    /// Modeled cycles of the pressured run.
-    pub pressured_cycles: u64,
-    /// Modeled cycles of the same cell with full budgets and no governor.
-    pub clean_cycles: u64,
-}
-
-/// Run one pressure cell and harvest both the observation and the governor
-/// counters, plus an unpressured twin of the same cell for the cycle
-/// baseline. Panics if `cfg.pressure` is `PressureSpec::None`.
-pub fn observe_pressure(m: &Module, cfg: &RunConfig) -> (Observation, PressureRunStats) {
-    let sched = cfg
-        .pressure
-        .schedule()
-        .expect("observe_pressure requires a pressure cell");
-    let mut module = m.clone();
-    optimize(&mut module);
-    let opts = match cfg.pipeline {
-        Pipeline::OptOnly => panic!("pressure cells are far-memory cells"),
-        Pipeline::TrackFm => CompileOptions::trackfm(),
-        Pipeline::Cards => CompileOptions::cards(),
-    };
-    let compiled = match compile(module, opts) {
-        Ok(c) => c,
-        Err(e) => {
-            return (
-                Observation {
-                    ret: None,
-                    digest: None,
-                    error: Some(format!("compile failed: {e}")),
-                },
-                PressureRunStats::default(),
-            )
-        }
-    };
-    let mut vm = Vm::new(
-        compiled.module.clone(),
-        RuntimeConfig::new(cfg.pinned, cfg.cache).with_pressure(PressureConfig::governed()),
-        SimTransport::default(),
-        cfg.policy,
-        cfg.k,
-    );
-    vm.runtime_mut().set_pressure_schedule(sched);
-    let obs = match vm.run("main", &[]) {
-        Ok(ret) => Observation {
-            ret,
-            digest: vm.global_u64("digest"),
-            error: None,
-        },
-        Err(e) => Observation {
-            ret: None,
-            digest: None,
-            error: Some(e.to_string()),
-        },
-    };
-    let g = vm.runtime().stats();
-    let mut stats = PressureRunStats {
-        pressure_high_crossings: g.pressure_high_crossings,
-        proactive_evictions: g.proactive_evictions,
-        phase_changes: g.pressure_phase_changes,
-        resolves: g.resolves,
-        hint_demotions: g.hint_demotions,
-        hint_promotions: g.hint_promotions,
-        spills: g.spill_reads + g.spill_writes,
-        pin_starvations: g.pin_starvations,
-        pressured_cycles: g.cycles,
-        clean_cycles: 0,
-    };
-    let mut clean_vm = Vm::new(
-        compiled.module,
-        RuntimeConfig::new(cfg.pinned, cfg.cache),
-        SimTransport::default(),
-        cfg.policy,
-        cfg.k,
-    );
-    let _ = clean_vm.run("main", &[]);
-    stats.clean_cycles = clean_vm.runtime().stats().cycles;
-    (obs, stats)
-}
-
-/// Aggregated outcome of one pressure-matrix cell across a whole campaign.
-#[derive(Clone, Debug, Default)]
-pub struct PressureCellReport {
-    /// The cell's [`RunConfig::label`].
-    pub label: String,
-    /// Seeds that diverged from the all-local oracle in this cell.
-    pub divergent: Vec<u64>,
-    /// Summed governor counters over every seed.
-    pub stats: PressureRunStats,
-}
-
-/// Outcome of [`run_pressure_campaign`].
-#[derive(Clone, Debug, Default)]
-pub struct PressureReport {
-    /// Seeds executed.
-    pub seeds_run: u64,
-    /// Per-cell aggregates, in [`pressure_matrix`] order.
-    pub cells: Vec<PressureCellReport>,
-    /// Seeds with at least one diverging cell.
-    pub divergent: Vec<u64>,
-    /// One human-readable line per divergence.
-    pub log: Vec<String>,
-}
-
-/// Fuzz `seeds` generated programs through [`pressure_matrix`]: every cell
-/// must match the all-local oracle even while the local tier starves and
-/// recovers mid-run.
-pub fn run_pressure_campaign(seeds: u64, start_seed: u64, gen: GenConfig) -> PressureReport {
-    let matrix = pressure_matrix();
-    let mut report = PressureReport {
-        cells: matrix
-            .iter()
-            .map(|c| PressureCellReport {
-                label: c.label(),
-                ..Default::default()
-            })
-            .collect(),
-        ..Default::default()
-    };
-    for seed in start_seed..start_seed + seeds {
-        let module = generate(seed, gen);
-        let oracle = observe_oracle(&module);
-        report.seeds_run += 1;
-        let mut seed_diverged = false;
-        for (i, cfg) in matrix.iter().enumerate() {
-            let (got, stats) = observe_pressure(&module, cfg);
-            let cell = &mut report.cells[i];
-            cell.stats.pressure_high_crossings += stats.pressure_high_crossings;
-            cell.stats.proactive_evictions += stats.proactive_evictions;
-            cell.stats.phase_changes += stats.phase_changes;
-            cell.stats.resolves += stats.resolves;
-            cell.stats.hint_demotions += stats.hint_demotions;
-            cell.stats.hint_promotions += stats.hint_promotions;
-            cell.stats.spills += stats.spills;
-            cell.stats.pin_starvations += stats.pin_starvations;
-            cell.stats.pressured_cycles += stats.pressured_cycles;
-            cell.stats.clean_cycles += stats.clean_cycles;
-            if got != oracle {
-                cell.divergent.push(seed);
-                seed_diverged = true;
-                report.log.push(format!(
-                    "seed {seed} [{}]: oracle {oracle} vs {got}",
-                    cfg.label()
-                ));
-            }
-        }
-        if seed_diverged {
-            report.divergent.push(seed);
-        }
-    }
-    report
+    Ok(())
 }
 
 /// One configuration disagreeing with the oracle.
@@ -845,88 +575,6 @@ pub struct SeedReport {
     pub oracle: Observation,
     /// Every matrix cell that diverged from the oracle.
     pub divergences: Vec<Divergence>,
-}
-
-/// The profile-determinism cell: compiling the same program twice must
-/// yield an identical attribution-site table (site IDs are a function of
-/// the program, not of compile order), and running the two compiles under
-/// the same seed + config must emit byte-identical profile JSON. Any
-/// instability here poisons cross-run profile diffs, so it is checked for
-/// every fuzzed seed alongside the behavioural matrix.
-pub fn check_profile_determinism(m: &Module) -> Result<(), String> {
-    let prep = |m: &Module| {
-        let mut m = m.clone();
-        optimize(&mut m);
-        m
-    };
-    let c1 = match compile(prep(m), CompileOptions::cards()) {
-        Ok(c) => c,
-        // Uncompilable programs have no profile to destabilize.
-        Err(_) => return Ok(()),
-    };
-    let c2 = compile(prep(m), CompileOptions::cards()).map_err(|e| format!("recompile: {e}"))?;
-    if c1.module.sites != c2.module.sites {
-        return Err(format!(
-            "site table unstable across recompiles: {} vs {} sites",
-            c1.module.sites.len(),
-            c2.module.sites.len()
-        ));
-    }
-    let run = |module: Module| {
-        let mut vm = Vm::new(
-            module,
-            RuntimeConfig::new(0, 6 * 4096),
-            FaultyTransport::new(SimTransport::default(), 0.2, 0xfa17),
-            RemotingPolicy::MaxUse,
-            50,
-        );
-        // A trapping program must trap (and profile) identically too.
-        let _ = vm.run("main", &[]);
-        cards_vm::profile_json(&vm)
-    };
-    let (p1, p2) = (run(c1.module), run(c2.module));
-    if p1 != p2 {
-        return Err("profile output not byte-identical under same-seed replay".into());
-    }
-    Ok(())
-}
-
-/// The trace-determinism cell: the causal-trace export (span trees, phase
-/// totals, anomaly triggers — schema `cards-ttrace-v1`) must be
-/// byte-identical across a recompile and a same-seed faulty replay, just
-/// like the profile. Spans are timestamped off the modeled clock and keyed
-/// by deterministic ids, so any wall-clock or iteration-order leak in the
-/// tracer shows up here as a byte diff.
-pub fn check_trace_determinism(m: &Module) -> Result<(), String> {
-    let prep = |m: &Module| {
-        let mut m = m.clone();
-        optimize(&mut m);
-        m
-    };
-    let c1 = match compile(prep(m), CompileOptions::cards()) {
-        Ok(c) => c,
-        // Uncompilable programs have no trace to destabilize.
-        Err(_) => return Ok(()),
-    };
-    let c2 = compile(prep(m), CompileOptions::cards()).map_err(|e| format!("recompile: {e}"))?;
-    let run = |module: Module| {
-        let mut vm = Vm::new(
-            module,
-            RuntimeConfig::new(0, 6 * 4096),
-            FaultyTransport::new(SimTransport::default(), 0.2, 0xfa17),
-            RemotingPolicy::MaxUse,
-            50,
-        );
-        // A trapping program must trace identically too.
-        let _ = vm.run("main", &[]);
-        cards_vm::check_traces(&vm)?;
-        Ok::<String, String>(cards_vm::ttrace_json(&vm))
-    };
-    let (t1, t2) = (run(c1.module)?, run(c2.module)?);
-    if t1 != t2 {
-        return Err("trace export not byte-identical under same-seed replay".into());
-    }
-    Ok(())
 }
 
 /// Remove the `"counters":{...}` span (the single interleaving-dependent
@@ -1056,60 +704,40 @@ pub fn check_fleet_determinism() -> Result<(), String> {
     Ok(())
 }
 
-/// Compare `m` against the oracle under every cell of [`config_matrix`],
-/// plus the profile- and trace-determinism cells.
-pub fn check_module(m: &Module, seed: u64) -> SeedReport {
+/// Compare `m` against the oracle under every cell of `matrix`, plus the
+/// replay-determinism cell; also returns each cell's counters, in matrix
+/// order.
+fn check_cells(m: &Module, seed: u64, matrix: &[RunConfig]) -> (SeedReport, Vec<CellStats>) {
     let oracle = observe_oracle(m);
     let mut divergences = Vec::new();
-    for cfg in config_matrix() {
-        let got = observe(m, &cfg);
+    let mut stats = Vec::with_capacity(matrix.len());
+    for cfg in matrix {
+        let (got, s) = observe(m, cfg);
         if got != oracle {
-            divergences.push(Divergence { config: cfg, got });
+            divergences.push(Divergence { config: *cfg, got });
         }
+        stats.push(s);
     }
-    if let Err(e) = check_profile_determinism(m) {
+    if let Err(e) = check_replay_determinism(m) {
         divergences.push(Divergence {
-            config: RunConfig {
-                pipeline: Pipeline::Cards,
-                policy: RemotingPolicy::MaxUse,
-                fault: fault_schedules()[1],
-                chaos: ChaosSpec::None,
-                pressure: PressureSpec::None,
-                pinned: 0,
-                cache: 6 * 4096,
-                k: 50,
-            },
-            got: Observation {
-                ret: None,
-                digest: None,
-                error: Some(format!("profile determinism: {e}")),
-            },
+            config: REPLAY_CELL,
+            got: Observation::failed(format!("replay determinism: {e}")),
         });
     }
-    if let Err(e) = check_trace_determinism(m) {
-        divergences.push(Divergence {
-            config: RunConfig {
-                pipeline: Pipeline::Cards,
-                policy: RemotingPolicy::MaxUse,
-                fault: fault_schedules()[1],
-                chaos: ChaosSpec::None,
-                pressure: PressureSpec::None,
-                pinned: 0,
-                cache: 6 * 4096,
-                k: 50,
-            },
-            got: Observation {
-                ret: None,
-                digest: None,
-                error: Some(format!("trace determinism: {e}")),
-            },
-        });
-    }
-    SeedReport {
-        seed,
-        oracle,
-        divergences,
-    }
+    (
+        SeedReport {
+            seed,
+            oracle,
+            divergences,
+        },
+        stats,
+    )
+}
+
+/// Compare `m` against the oracle under every cell of [`config_matrix`],
+/// plus the replay-determinism cell.
+pub fn check_module(m: &Module, seed: u64) -> SeedReport {
+    check_cells(m, seed, &config_matrix()).0
 }
 
 /// Generate the program for `seed` and compare it across the matrix.
@@ -1130,7 +758,7 @@ pub fn minimize_divergence(m: &Module, cfgs: &[RunConfig]) -> Module {
                 // same bug; reject it.
                 return false;
             }
-            cfgs.iter().any(|c| observe(cand, c) != oracle)
+            cfgs.iter().any(|c| observe(cand, c).0 != oracle)
         },
         8,
     )
@@ -1163,13 +791,39 @@ impl Default for CampaignConfig {
     }
 }
 
+/// Aggregated outcome of one matrix cell across a whole campaign.
+#[derive(Clone, Debug, Default)]
+pub struct CellReport {
+    /// The cell's [`RunConfig::label`].
+    pub label: String,
+    /// Seeds that diverged from the all-local oracle in this cell.
+    pub divergent: Vec<u64>,
+    /// The cell's counters, summed over every seed.
+    pub stats: CellStats,
+    /// Modeled cycles of the cell's clean twin ([`RunConfig::clean`]),
+    /// summed over every seed.
+    pub clean_cycles: u64,
+}
+
+impl CellReport {
+    /// Modeled cycles relative to the clean twin: what the cell's faults
+    /// cost (1.0 for a clean cell).
+    pub fn overhead(&self) -> f64 {
+        if self.clean_cycles == 0 {
+            1.0
+        } else {
+            self.stats.runtime.cycles as f64 / self.clean_cycles as f64
+        }
+    }
+}
+
 /// Campaign outcome.
 #[derive(Clone, Debug, Default)]
 pub struct CampaignReport {
     /// Seeds executed.
     pub seeds_run: u64,
-    /// Matrix cells compared per seed.
-    pub configs_per_seed: usize,
+    /// Per-cell aggregates, in matrix order.
+    pub cells: Vec<CellReport>,
     /// Seeds with at least one divergence.
     pub divergent: Vec<u64>,
     /// One human-readable line per divergence.
@@ -1209,36 +863,70 @@ fn persist_reproducer(
     Ok(())
 }
 
-/// Fuzz `cfg.seeds` generated programs through the whole matrix, persisting
-/// (optionally minimized) reproducers for every divergence found.
-pub fn run_campaign(cfg: &CampaignConfig) -> std::io::Result<CampaignReport> {
+/// Fuzz `cfg.seeds` generated programs through `matrix`, summing each
+/// cell's counters and its clean twin's cycles, and persisting (optionally
+/// minimized) reproducers for every divergence found.
+pub fn run_campaign(matrix: &[RunConfig], cfg: &CampaignConfig) -> std::io::Result<CampaignReport> {
     let mut report = CampaignReport {
-        configs_per_seed: config_matrix().len(),
+        cells: matrix
+            .iter()
+            .map(|c| CellReport {
+                label: c.label(),
+                ..Default::default()
+            })
+            .collect(),
         ..Default::default()
     };
     for seed in cfg.start_seed..cfg.start_seed + cfg.seeds {
         let module = generate(seed, cfg.gen);
-        let sr = check_module(&module, seed);
+        let (sr, stats) = check_cells(&module, seed, matrix);
         report.seeds_run += 1;
+        // Cells that share a clean twin, or are their own, run it once.
+        let mut twins: Vec<(RunConfig, u64)> = matrix
+            .iter()
+            .zip(&stats)
+            .filter(|(c, _)| c.clean() == **c)
+            .map(|(c, s)| (*c, s.runtime.cycles))
+            .collect();
+        for ((c, cell), s) in matrix.iter().zip(&mut report.cells).zip(&stats) {
+            let twin = c.clean();
+            let clean_cycles = match twins.iter().find(|(t, _)| *t == twin) {
+                Some(&(_, cycles)) => cycles,
+                None => {
+                    let cycles = observe(&module, &twin).1.runtime.cycles;
+                    twins.push((twin, cycles));
+                    cycles
+                }
+            };
+            cell.stats.runtime += s.runtime;
+            cell.stats.breaker_trips += s.breaker_trips;
+            cell.clean_cycles += clean_cycles;
+        }
         if sr.divergences.is_empty() {
             continue;
         }
         report.divergent.push(seed);
         for d in &sr.divergences {
+            if let Some(cell) = matrix
+                .iter()
+                .position(|c| *c == d.config)
+                .map(|i| &mut report.cells[i])
+            {
+                if cell.divergent.last() != Some(&seed) {
+                    cell.divergent.push(seed);
+                }
+            }
             report.log.push(format!(
-                "seed {} [{}]: oracle {} vs {}",
-                seed,
+                "seed {seed} [{}]: oracle {} vs {}",
                 d.config.label(),
                 sr.oracle,
                 d.got
             ));
         }
-        let minimized = if cfg.minimize {
+        let minimized = cfg.minimize.then(|| {
             let cfgs: Vec<RunConfig> = sr.divergences.iter().map(|d| d.config).collect();
-            Some(minimize_divergence(&module, &cfgs))
-        } else {
-            None
-        };
+            minimize_divergence(&module, &cfgs)
+        });
         if let Some(dir) = &cfg.out_dir {
             persist_reproducer(dir, &sr, &module, minimized.as_ref(), &mut report.artifacts)?;
         }
@@ -1262,16 +950,20 @@ mod tests {
         for p in policies() {
             assert!(far.iter().any(|c| c.policy == p), "missing policy {p:?}");
         }
-        let faulty = far.iter().filter(|c| c.fault.rate > 0.0).count();
-        let clean = far
+        let faulty = far
+            .iter()
+            .filter(|c| matches!(c.transport, TransportSpec::Faulty { rate, .. } if rate > 0.0))
+            .count();
+        let clean = far.iter().filter(|c| c.clean() == ***c).count();
+        let chaos = far
             .iter()
             .filter(|c| {
-                c.fault.rate == 0.0
-                    && c.chaos == ChaosSpec::None
-                    && c.pressure == PressureSpec::None
+                matches!(
+                    c.transport,
+                    TransportSpec::Storm(_) | TransportSpec::Crash(_)
+                )
             })
             .count();
-        let chaos = far.iter().filter(|c| c.chaos != ChaosSpec::None).count();
         let pressure = far
             .iter()
             .filter(|c| c.pressure != PressureSpec::None)
@@ -1283,10 +975,10 @@ mod tests {
         for pipeline in [Pipeline::TrackFm, Pipeline::Cards] {
             assert!(far
                 .iter()
-                .any(|c| c.pipeline == pipeline && matches!(c.chaos, ChaosSpec::Storm(_))));
+                .any(|c| c.pipeline == pipeline && c.transport == STORM));
             assert!(far
                 .iter()
-                .any(|c| c.pipeline == pipeline && matches!(c.chaos, ChaosSpec::Crash(_))));
+                .any(|c| c.pipeline == pipeline && c.transport == CRASH));
             assert!(far
                 .iter()
                 .any(|c| c.pipeline == pipeline && c.pressure != PressureSpec::None));
@@ -1307,8 +999,24 @@ mod tests {
     #[test]
     fn chaos_matrix_is_the_full_cross_product() {
         let m = chaos_matrix();
-        assert_eq!(m.len(), 16, "2 pipelines x 4 policies x 2 chaos kinds");
-        assert!(m.iter().all(|c| c.chaos != ChaosSpec::None));
+        assert_eq!(
+            m.len(),
+            20,
+            "2 pipelines x 4 policies x 2 chaos kinds, plus 2 x 2 pinned"
+        );
+        assert!(m
+            .iter()
+            .all(|c| c.transport == STORM || c.transport == CRASH));
+        assert!(m.iter().all(|c| c.pressure == PressureSpec::None));
+        let pinned: Vec<&RunConfig> = m.iter().filter(|c| c.pinned > 0).collect();
+        assert_eq!(pinned.len(), 4, "both pipelines x both kinds, pinned");
+        for pipeline in FAR {
+            for transport in [STORM, CRASH] {
+                assert!(pinned
+                    .iter()
+                    .any(|c| c.pipeline == pipeline && c.transport == transport));
+            }
+        }
         let labels: std::collections::HashSet<String> = m.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), m.len());
     }
@@ -1316,9 +1024,26 @@ mod tests {
     #[test]
     fn pressure_matrix_is_the_full_cross_product() {
         let m = pressure_matrix();
-        assert_eq!(m.len(), 24, "2 pipelines x 4 policies x 3 schedules");
+        assert_eq!(
+            m.len(),
+            36,
+            "2 pipelines x 4 policies x 3 schedules, plus 2 x 2 chaos x 3 composed"
+        );
         assert!(m.iter().all(|c| c.pressure != PressureSpec::None));
-        assert!(m.iter().all(|c| c.chaos == ChaosSpec::None));
+        let clean = m
+            .iter()
+            .filter(|c| c.transport == TransportSpec::Clean)
+            .count();
+        assert_eq!(clean, 24);
+        let composed: Vec<&RunConfig> = m
+            .iter()
+            .filter(|c| c.transport == STORM || c.transport == CRASH)
+            .collect();
+        assert_eq!(composed.len(), 12, "every other cell composes both axes");
+        for p in policies() {
+            let n = composed.iter().filter(|c| c.policy == p).count();
+            assert_eq!(n, 3, "composed cells rotate through the policies");
+        }
         assert!(
             m.iter().all(|c| c.pinned > 0),
             "schedules need a pinned budget to shrink"
@@ -1332,9 +1057,18 @@ mod tests {
     /// spills, forced re-solves — must never change observable behaviour,
     /// and the schedules must actually fire so the governor is exercised,
     /// not skipped.
+    fn chaos_sample(matrix: &[RunConfig]) -> CampaignReport {
+        let cfg = CampaignConfig {
+            seeds: 3,
+            gen: GenConfig::chaos(),
+            ..Default::default()
+        };
+        run_campaign(matrix, &cfg).expect("no reproducers are persisted")
+    }
+
     #[test]
     fn pressure_campaign_sample_matches_oracle() {
-        let r = run_pressure_campaign(3, 1, GenConfig::chaos());
+        let r = chaos_sample(&pressure_matrix());
         assert_eq!(r.seeds_run, 3);
         assert!(
             r.divergent.is_empty(),
@@ -1342,19 +1076,32 @@ mod tests {
             r.divergent,
             r.log.join("\n")
         );
-        let phases: u64 = r.cells.iter().map(|c| c.stats.phase_changes).sum();
+        let phases: u64 = r
+            .cells
+            .iter()
+            .map(|c| c.stats.runtime.pressure_phase_changes)
+            .sum();
         assert!(phases > 0, "pressure phases must fire across the campaign");
         let activity: u64 = r
             .cells
             .iter()
             .map(|c| {
-                c.stats.pressure_high_crossings
-                    + c.stats.proactive_evictions
-                    + c.stats.spills
-                    + c.stats.resolves
+                let s = &c.stats.runtime;
+                s.pressure_high_crossings
+                    + s.proactive_evictions
+                    + s.spill_reads
+                    + s.spill_writes
+                    + s.resolves
             })
             .sum();
         assert!(activity > 0, "the governor must actually do something");
+        // The composed cells run both axes at once: crashes fire while the
+        // pressure schedule walks its phases.
+        for c in r.cells.iter().filter(|c| c.label.contains("chaos-crash")) {
+            let s = &c.stats.runtime;
+            assert!(s.crashes_detected > 0, "{}: no crash fired", c.label);
+            assert!(s.pressure_phase_changes > 0, "{}: no phase fired", c.label);
+        }
     }
 
     #[test]
@@ -1374,15 +1121,25 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The trace-determinism cell holds on fuzzed programs: recompiling and
-    /// replaying under the same fault seed emits byte-identical
-    /// cards-ttrace-v1 exports.
+    /// The replay-determinism cell holds on fuzzed programs: recompiling
+    /// and replaying under the same fault seed emits byte-identical profile
+    /// and cards-ttrace-v1 exports. The chaos generator's programs outgrow
+    /// the cell's cache, so those exports carry retries.
     #[test]
     fn trace_exports_are_replay_deterministic() {
-        for seed in [1, 2, 3] {
-            let m = generate(seed, GenConfig::adversarial());
-            check_trace_determinism(&m).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        for gen in [GenConfig::adversarial(), GenConfig::chaos()] {
+            for seed in [1, 2, 3] {
+                let m = generate(seed, gen);
+                check_replay_determinism(&m).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            }
         }
+        let retries: u64 = (1..=3)
+            .map(|seed| {
+                let m = generate(seed, GenConfig::chaos());
+                observe(&m, &REPLAY_CELL).1.runtime.retries
+            })
+            .sum();
+        assert!(retries > 0, "the replayed exports never saw a retry");
     }
 
     /// The fleet-determinism cell holds: two identical replicated serving
@@ -1467,7 +1224,7 @@ mod tests {
             bld.ret(wide);
             m.add_function(bld.finish());
             let oracle = observe_oracle(&m);
-            let folded = observe(&m, &opt_only);
+            let folded = observe(&m, &opt_only).0;
             assert_eq!(
                 oracle, folded,
                 "{op:?} {a} {b} {ty:?}: vm {oracle} vs folder {folded}"
@@ -1514,7 +1271,7 @@ mod tests {
     /// fire so the journal recovery path is exercised, not skipped.
     #[test]
     fn chaos_campaign_sample_matches_oracle() {
-        let r = run_chaos_campaign(3, 1, GenConfig::chaos());
+        let r = chaos_sample(&chaos_matrix());
         assert_eq!(r.seeds_run, 3);
         assert!(
             r.divergent.is_empty(),
@@ -1522,13 +1279,17 @@ mod tests {
             r.divergent,
             r.log.join("\n")
         );
-        let crashes: u64 = r.cells.iter().map(|c| c.stats.crashes_detected).sum();
-        let retries: u64 = r.cells.iter().map(|c| c.stats.retries).sum();
+        let crashes: u64 = r
+            .cells
+            .iter()
+            .map(|c| c.stats.runtime.crashes_detected)
+            .sum();
+        let retries: u64 = r.cells.iter().map(|c| c.stats.runtime.retries).sum();
         assert!(crashes > 0, "crash phases must fire across the campaign");
         assert!(retries > 0, "chaos must force retries");
         for c in &r.cells {
             assert!(
-                c.stats.chaos_cycles >= c.stats.clean_cycles,
+                c.stats.runtime.cycles >= c.clean_cycles,
                 "{}: chaos may cost cycles, never save them",
                 c.label
             );
@@ -1537,8 +1298,23 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let m = config_matrix();
-        let labels: std::collections::HashSet<String> = m.iter().map(|c| c.label()).collect();
-        assert_eq!(labels.len(), m.len());
+        for m in [config_matrix(), chaos_matrix(), pressure_matrix()] {
+            let labels: std::collections::HashSet<String> = m.iter().map(|c| c.label()).collect();
+            assert_eq!(labels.len(), m.len());
+        }
+        // The budget is read off the cell, not assumed from a preset.
+        let squeeze = far(
+            Pipeline::Cards,
+            RemotingPolicy::Linear,
+            CLEAN,
+            PressureSpec::Squeeze,
+            FOUR_PINNED,
+        );
+        let wider = RunConfig {
+            pinned: 8 * 4096,
+            ..squeeze
+        };
+        assert_eq!(squeeze.label(), "cards/linear/pressure-squeeze");
+        assert_eq!(wider.label(), "cards/linear/pressure-squeeze/pinned32k");
     }
 }

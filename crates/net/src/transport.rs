@@ -174,6 +174,66 @@ pub trait Transport {
     }
 }
 
+/// A boxed transport is a transport, so a caller can pick one at run time
+/// (the differential matrix does, per cell) and still drive a single VM type.
+impl<T: Transport + ?Sized> Transport for Box<T> {
+    fn fetch(&mut self, key: ObjKey) -> Result<Fetched, NetError> {
+        (**self).fetch(key)
+    }
+
+    fn fetch_batched(&mut self, key: ObjKey) -> Result<Fetched, NetError> {
+        (**self).fetch_batched(key)
+    }
+
+    fn rtt_cost(&self) -> u64 {
+        (**self).rtt_cost()
+    }
+
+    fn put(&mut self, key: ObjKey, data: &[u8]) -> Result<u64, NetError> {
+        (**self).put(key, data)
+    }
+
+    fn remove(&mut self, key: ObjKey) -> Result<u64, NetError> {
+        (**self).remove(key)
+    }
+
+    fn flush(&mut self) -> Result<u64, NetError> {
+        (**self).flush()
+    }
+
+    fn generation(&self) -> u64 {
+        (**self).generation()
+    }
+
+    fn contains(&self, key: ObjKey) -> bool {
+        (**self).contains(key)
+    }
+
+    fn stats(&self) -> NetStats {
+        (**self).stats()
+    }
+
+    fn remote_bytes(&self) -> u64 {
+        (**self).remote_bytes()
+    }
+
+    fn take_fault_events(&mut self) -> FaultEvents {
+        (**self).take_fault_events()
+    }
+
+    fn set_trace_context(&mut self, ctx: TraceContext) {
+        (**self).set_trace_context(ctx)
+    }
+
+    fn trace_context(&self) -> TraceContext {
+        (**self).trace_context()
+    }
+
+    fn wire_tap(&self) -> Option<&WireTap> {
+        (**self).wire_tap()
+    }
+}
+
 /// In-process simulated transport: a hash map "server" plus the cycle model.
 /// Deterministic and allocation-conscious (payloads move, not copy, on put).
 pub struct SimTransport {

@@ -567,6 +567,73 @@ mod tests {
         assert_eq!(r.stats().journal_replays, 0, "acked data needs no replay");
     }
 
+    /// Healthy for `before` ops, a crash window of `crash` ops, then healthy.
+    fn crash_after(before: u64, crash: u64) -> cards_net::ChaosTransport {
+        use cards_net::{ChaosPhase, ChaosSchedule, ChaosTransport, ScheduledPhase};
+        ChaosTransport::new(ChaosSchedule {
+            phases: vec![
+                ScheduledPhase {
+                    phase: ChaosPhase::Healthy,
+                    ops: before,
+                },
+                ScheduledPhase {
+                    phase: ChaosPhase::CrashRestart,
+                    ops: crash,
+                },
+                ScheduledPhase {
+                    phase: ChaosPhase::Healthy,
+                    ops: 1000,
+                },
+            ],
+            repeat: false,
+            seed: 4,
+        })
+    }
+
+    #[test]
+    fn reput_across_crash_is_not_undone_by_its_stale_journal_entry() {
+        let cfg = RuntimeConfig::new(0, 1 << 20)
+            .with_max_retries(16)
+            .with_journal(100); // journaled, but never auto-flushed
+        let mut r = FarMemRuntime::new(cfg, crash_after(2, 3));
+        let h = r.register_ds(DsSpec::simple("d"), StaticHint::Remotable);
+        let (p, _) = r.ds_alloc(h, 4096).unwrap();
+        r.write_u64(p, 1).unwrap();
+        r.evacuate(p).unwrap(); // op 0: put 1, journaled, unacked
+        r.guard(p, Access::Write, 8).unwrap(); // op 1: refetch
+        r.write_u64(p, 2).unwrap();
+        // Ops 2-5: the re-put retries through the crash window, which drops
+        // the unacked object; the crash is detected once the put lands.
+        r.evacuate(p).unwrap();
+        assert_eq!(r.stats().crashes_detected, 1);
+        r.guard(p, Access::Read, 8).unwrap();
+        let (v, _) = r.read_u64(p).unwrap();
+        assert_eq!(v, 2, "recovery must replay the re-put bytes, not the old");
+    }
+
+    #[test]
+    fn flush_across_crash_replays_the_journal_before_clearing_it() {
+        let cfg = RuntimeConfig::new(0, 1 << 20)
+            .with_max_retries(16)
+            .with_journal(2); // flush after every second put
+        let mut r = FarMemRuntime::new(cfg, crash_after(2, 3));
+        let h = r.register_ds(DsSpec::simple("d"), StaticHint::Remotable);
+        let (p, _) = r.ds_alloc(h, 2 * 4096).unwrap();
+        let (p0, p1) = (p, p.add(4096));
+        r.write_u64(p0, 10).unwrap();
+        r.write_u64(p1, 11).unwrap();
+        r.evacuate(p0).unwrap(); // op 0: put
+                                 // Op 1: put; ops 2-5: the flush retries through the crash window,
+                                 // which drops both unacked puts before the flush lands.
+        r.evacuate(p1).unwrap();
+        assert_eq!(r.journal_len(), 0, "replayed, then flushed again");
+        for (q, want) in [(p0, 10u64), (p1, 11)] {
+            r.guard(q, Access::Read, 8).expect("no put may be lost");
+            assert_eq!(r.read_u64(q).unwrap().0, want);
+        }
+        assert_eq!(r.stats().crashes_detected, 1);
+    }
+
     #[test]
     fn disconnected_emits_terminal_failure_event() {
         use cards_net::{NetError, ThreadedTransport};

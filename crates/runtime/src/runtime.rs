@@ -691,9 +691,7 @@ impl<T: Transport> FarMemRuntime<T> {
             );
             self.telemetry.record(HistPath::DerefLocal, c);
             self.tracer.op_end(c, self.stats.cycles);
-            if self.telemetry.guard_tick() {
-                self.snapshot_epoch();
-            }
+            self.epoch_tick();
             return Ok(c);
         }
         // Miss: localize over the network, then prefetch. Prefetchers are
@@ -721,10 +719,20 @@ impl<T: Transport> FarMemRuntime<T> {
         self.profiler.on_miss(cycles);
         self.telemetry.record(HistPath::DerefRemote, cycles);
         self.tracer.op_end(cycles, self.stats.cycles);
-        if self.telemetry.guard_tick() {
+        self.epoch_tick();
+        Ok(cycles)
+    }
+
+    /// Count one guard event on the epoch clock and snapshot an epoch when
+    /// one is due. The clock runs whenever telemetry *or* the governor is
+    /// on — the governor's thrash detector rides it — so switching
+    /// telemetry off never changes what the governor does.
+    fn epoch_tick(&mut self) {
+        if (self.telemetry.config().enabled || self.cfg.pressure.enabled)
+            && self.telemetry.guard_tick()
+        {
             self.snapshot_epoch();
         }
-        Ok(cycles)
     }
 
     /// Snapshot every DS's and the transport's cumulative counters into the
@@ -1308,14 +1316,18 @@ impl<T: Transport> FarMemRuntime<T> {
         cycles: &mut u64,
     ) -> Result<(), RtError> {
         self.raw_put_with_retry(key, data, cycles)?;
-        self.check_generation(cycles)?;
         // Journal the payload until a flush acknowledges it as durable.
-        if self.cfg.journal_flush_every > 0 {
+        // Journal *before* the generation check: a crash during this put's
+        // retries replays the journal, and that replay must carry these
+        // bytes, not this key's previous payload.
+        let journaled = self.cfg.journal_flush_every > 0;
+        if journaled {
             self.journal.insert(key, data.to_vec());
             self.puts_since_flush += 1;
-            if self.puts_since_flush >= self.cfg.journal_flush_every {
-                self.flush_journal(cycles);
-            }
+        }
+        self.check_generation(cycles)?;
+        if journaled && self.puts_since_flush >= self.cfg.journal_flush_every {
+            self.flush_journal(cycles);
         }
         Ok(())
     }
@@ -1323,6 +1335,10 @@ impl<T: Transport> FarMemRuntime<T> {
     /// Flush (acknowledge) outstanding writebacks. On success the journal
     /// is cleared — everything it held is durable. Failure is non-fatal:
     /// the journal is retained and recovery falls to generation detection.
+    /// An acknowledgement only counts within one server generation: if a
+    /// crash landed during this flush's own retries, it dropped every
+    /// unacknowledged put, so the journal is replayed and flushed again
+    /// before it is cleared.
     fn flush_journal(&mut self, cycles: &mut u64) {
         let ctx = self.tracer.context();
         self.transport.set_trace_context(ctx);
@@ -1335,9 +1351,18 @@ impl<T: Transport> FarMemRuntime<T> {
                 Ok(c) => {
                     *cycles += c;
                     self.tracer.leaf(SpanKind::Flush, 0, 0, c, 0);
-                    self.journal.clear();
-                    self.puts_since_flush = 0;
-                    return;
+                    if self.transport.generation() == self.last_generation {
+                        self.journal.clear();
+                        self.puts_since_flush = 0;
+                        return;
+                    }
+                    // A crash dropped what this flush acknowledged: replay
+                    // the journal, then loop to flush it again.
+                    if attempts > self.cfg.max_retries || self.check_generation(cycles).is_err() {
+                        self.stats.flush_failures += 1;
+                        self.puts_since_flush = 0;
+                        return;
+                    }
                 }
                 Err(e) if Self::retryable(&e) && attempts <= self.cfg.max_retries => {
                     self.classify_failure(&e);
@@ -2171,8 +2196,8 @@ impl<T: Transport> FarMemRuntime<T> {
 
     /// One governor epoch: refresh per-DS velocities from the epoch deltas
     /// and re-solve the placement policy if something is thrashing (and the
-    /// global cooldown has expired). Rides the telemetry epoch clock, so it
-    /// costs nothing when telemetry epochs are off.
+    /// global cooldown has expired). Rides the guard-event epoch clock
+    /// ([`Self::epoch_tick`]), which keeps running with telemetry off.
     fn governor_epoch(&mut self, ds_stats: &[DsStats]) {
         if !self.cfg.pressure.enabled {
             return;

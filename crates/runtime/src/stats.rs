@@ -156,6 +156,72 @@ pub struct RuntimeStats {
     pub lag_breaches: u64,
 }
 
+/// Field-wise sum, for totals over many runs (the difftest campaigns sum a
+/// cell's counters over every seed). The destructuring is exhaustive, so a
+/// new counter cannot be left out of the sum.
+impl std::ops::AddAssign for RuntimeStats {
+    fn add_assign(&mut self, o: RuntimeStats) {
+        let RuntimeStats {
+            custody_checks,
+            derefs_local,
+            derefs_remote,
+            remotable_checks,
+            cycles,
+            retries,
+            overcommits,
+            timeouts,
+            corrupt_fetches,
+            backoff_cycles,
+            journal_replays,
+            crashes_detected,
+            flush_failures,
+            pressure_high_crossings,
+            proactive_evictions,
+            pressure_phase_changes,
+            resolves,
+            hint_demotions,
+            hint_promotions,
+            spill_reads,
+            spill_writes,
+            pin_starvations,
+            failovers,
+            hedged_fetches,
+            hedge_wasted,
+            fenced_retries,
+            queue_buildup_events,
+            lag_breaches,
+        } = o;
+        self.custody_checks += custody_checks;
+        self.derefs_local += derefs_local;
+        self.derefs_remote += derefs_remote;
+        self.remotable_checks += remotable_checks;
+        self.cycles += cycles;
+        self.retries += retries;
+        self.overcommits += overcommits;
+        self.timeouts += timeouts;
+        self.corrupt_fetches += corrupt_fetches;
+        self.backoff_cycles += backoff_cycles;
+        self.journal_replays += journal_replays;
+        self.crashes_detected += crashes_detected;
+        self.flush_failures += flush_failures;
+        self.pressure_high_crossings += pressure_high_crossings;
+        self.proactive_evictions += proactive_evictions;
+        self.pressure_phase_changes += pressure_phase_changes;
+        self.resolves += resolves;
+        self.hint_demotions += hint_demotions;
+        self.hint_promotions += hint_promotions;
+        self.spill_reads += spill_reads;
+        self.spill_writes += spill_writes;
+        self.pin_starvations += pin_starvations;
+        self.failovers += failovers;
+        self.hedged_fetches += hedged_fetches;
+        self.hedge_wasted += hedge_wasted;
+        self.fenced_retries += fenced_retries;
+        self.queue_buildup_events += queue_buildup_events;
+        self.lag_breaches += lag_breaches;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,7 +36,8 @@ use crate::stats::DsStats;
 /// [`RuntimeConfig`](crate::config::RuntimeConfig).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Master switch; when false every telemetry call is a no-op.
+    /// Master switch; when false nothing is recorded (the guard-event epoch
+    /// clock still runs under the governor, which rides it).
     pub enabled: bool,
     /// Max events retained in the ring buffer (oldest dropped first).
     pub ring_capacity: usize,
@@ -627,9 +628,11 @@ impl Telemetry {
         }
     }
 
-    /// Count one guard event; true when an epoch snapshot is now due.
+    /// Count one guard event; true when an epoch snapshot is now due. The
+    /// clock ticks even while recording is disabled: the governor's epochs
+    /// ride it, and the runtime only ticks it when someone listens.
     pub(crate) fn guard_tick(&mut self) -> bool {
-        if !self.cfg.enabled || self.cfg.epoch_every == 0 {
+        if self.cfg.epoch_every == 0 {
             return false;
         }
         self.guard_events += 1;

@@ -226,6 +226,16 @@ impl Drop for CountOnDrop<'_> {
     }
 }
 
+/// Opens the request gate for good when dropped — the controller ungates
+/// the workers even on a panic path, so they can never wait forever.
+struct OpenOnDrop<'a>(&'a AtomicU64);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(u64::MAX, Ordering::SeqCst);
+    }
+}
+
 /// Spin until `served` reaches `target`, every worker is done, or the
 /// optional real-time `deadline` passes. Returns whether the target was
 /// actually reached (vs. bailed out).
@@ -259,27 +269,34 @@ fn wait_served(
 }
 
 /// The fault controller: applies each scripted fault once the tier-wide
-/// issued-request counter crosses its threshold. Stalls are held for
-/// their scripted span (with a real-time escape hatch so a fully blocked
-/// tier can never deadlock the harness) and always released here.
+/// issued-request counter crosses its threshold, then raises `gate` to the
+/// next fault's threshold. Stalls are held for their scripted span (with a
+/// real-time escape hatch so a fully blocked tier can never deadlock the
+/// harness) and always released here.
 fn drive_faults(
     server: &ShardedServer,
     script: &[ScriptedFault],
     served: &AtomicU64,
+    gate: &AtomicU64,
     finished: &AtomicUsize,
     workers: usize,
 ) {
     // A stalled tier with no health timeout stops issuing requests, so
     // every hold also carries a wall-clock bound.
     const STALL_ESCAPE: Duration = Duration::from_secs(5);
-    for f in script {
+    let _open = OpenOnDrop(gate);
+    for (i, f) in script.iter().enumerate() {
         wait_served(served, finished, workers, f.after_requests, None);
+        // Holds below need requests flowing, so they ungate first.
+        let next = script.get(i + 1).map_or(u64::MAX, |n| n.after_requests);
+        let ungate = || gate.store(next, Ordering::SeqCst);
         match f.kind {
             FaultKind::KillPrimary => server.kill_shard(f.shard),
             FaultKind::KillBackup => server.kill_backup(f.shard),
             FaultKind::CrashRestart => server.crash_shard(f.shard),
             FaultKind::Stall { hold_requests } => {
-                let gate = server.stall_shard(f.shard);
+                let stall = server.stall_shard(f.shard);
+                ungate();
                 let base = served.load(Ordering::SeqCst);
                 wait_served(
                     served,
@@ -288,12 +305,13 @@ fn drive_faults(
                     base.saturating_add(hold_requests),
                     Some(Instant::now() + STALL_ESCAPE),
                 );
-                gate.release();
+                stall.release();
             }
             FaultKind::KillDuringFailover => {
                 let old = server.active_replica(f.shard);
-                let gate = server.stall_replica(f.shard, old);
+                let stall = server.stall_replica(f.shard, old);
                 let base = server.sharded_stats().failover_attempts;
+                ungate();
                 // Wait for some client to *begin* the takeover (needs a
                 // health timeout in the replica config to ever happen).
                 let t0 = Instant::now();
@@ -306,12 +324,13 @@ fn drive_faults(
                 let attempted = server.sharded_stats().failover_attempts > base;
                 // Release first: a stalled replica cannot drain its
                 // queue, and kill() joins the serve thread.
-                gate.release();
+                stall.release();
                 if attempted {
                     server.kill_replica(f.shard, old);
                 }
             }
         }
+        ungate();
     }
 }
 
@@ -333,6 +352,11 @@ pub fn run_serving_with_faults(
     let workers = spec.workers.max(1);
     let tolerate = !script.is_empty();
     let served = AtomicU64::new(0);
+    // No worker issues a request while the tier has served as many as the
+    // next fault's threshold and the controller has not injected it yet:
+    // each fault lands at its phase however the threads are scheduled,
+    // instead of after the workers finished when the controller runs late.
+    let gate = AtomicU64::new(script.first().map_or(u64::MAX, |f| f.after_requests));
     let finished = AtomicUsize::new(0);
     let server = ShardedServer::spawn(spec.net, spec.model);
     // Clients are handed out before spawning so worker i always gets
@@ -351,8 +375,8 @@ pub fn run_serving_with_faults(
 
     let mut reports: Vec<WorkerReport> = thread::scope(|scope| {
         if tolerate {
-            let (server, served, finished) = (&server, &served, &finished);
-            scope.spawn(move || drive_faults(server, script, served, finished, workers));
+            let (server, served, gate, finished) = (&server, &served, &gate, &finished);
+            scope.spawn(move || drive_faults(server, script, served, gate, finished, workers));
         }
         let mut handles = Vec::with_capacity(workers);
         for (w, client) in clients.into_iter().enumerate() {
@@ -362,7 +386,7 @@ pub fn run_serving_with_faults(
             // manages its share; the sum never exceeds the total budget.
             cfg.remotable_bytes = (base_cfg.remotable_bytes / workers as u64).max(4096);
             let (setup_lock, serve_gate) = (&setup_lock, &serve_gate);
-            let (served, finished) = (&served, &finished);
+            let (served, gate, finished) = (&served, &gate, &finished);
             handles.push(scope.spawn(move || -> Result<WorkerReport, String> {
                 // Signals the fault controller even on error or panic.
                 let _done = CountOnDrop(finished);
@@ -389,6 +413,9 @@ pub fn run_serving_with_faults(
                 for t in (w as u64..spec.tenants).step_by(workers) {
                     tenants += 1;
                     for i in 0..spec.ops_per_tenant {
+                        while served.load(Ordering::SeqCst) >= gate.load(Ordering::SeqCst) {
+                            thread::yield_now();
+                        }
                         issued += 1;
                         let c0 = vm.metrics().cycles;
                         let n0 = vm.runtime().net_stats();

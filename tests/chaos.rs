@@ -6,10 +6,12 @@
 
 use std::collections::BTreeSet;
 
+use cards_core::difftest::observe_oracle;
+use cards_core::ir::testgen::{generate, GenConfig};
 use cards_core::net::{ChaosPhase, ChaosSchedule, ChaosTransport, NetworkModel, ScheduledPhase};
-use cards_core::passes::{compile, CompileOptions};
+use cards_core::passes::{compile, optimize, CompileOptions};
 use cards_core::runtime::telemetry::{export_chrome_trace, export_json, HistPath, TelemetryConfig};
-use cards_core::runtime::{render_report, RemotingPolicy, RuntimeConfig};
+use cards_core::runtime::{render_report, PressureConfig, RemotingPolicy, RuntimeConfig};
 use cards_core::vm::Vm;
 use cards_core::workloads::kvstore::{self, KvParams};
 
@@ -197,4 +199,54 @@ fn resilience_trail_prices_retries_at_spiked_rtt() {
     let vm = run_chaos(control);
     let h = vm.runtime().telemetry().hist(HistPath::RetryAttempt);
     assert_eq!(h.max(), base, "healthy-phase retries are never spiked");
+}
+
+/// Testgen seed 1 under crash-loop chaos with four objects pinned and four
+/// cached, compiled by `opts` and run under `cfg`: the run must compute
+/// exactly what the all-local oracle computes.
+fn pinned_crash_loop_matches_oracle(opts: CompileOptions, cfg: RuntimeConfig) {
+    let m = generate(1, GenConfig::chaos());
+    let oracle = observe_oracle(&m);
+    let mut module = m;
+    optimize(&mut module);
+    let c = compile(module, opts).expect("compile");
+    let mut vm = Vm::new(
+        c.module,
+        cfg,
+        ChaosTransport::new(ChaosSchedule::crash_loop(0xca05)),
+        RemotingPolicy::Linear,
+        50,
+    );
+    let ret = vm
+        .run("main", &[])
+        .unwrap_or_else(|e| panic!("run under crash loop: {e}"));
+    assert_eq!(
+        (ret, vm.global_u64("digest")),
+        (oracle.ret, oracle.digest),
+        "crash loop must not change the result"
+    );
+}
+
+/// Regression: a re-put journaled *after* the generation check let crash
+/// recovery overwrite the new bytes with the key's stale journal entry. The
+/// governor's evictions re-put the same objects often enough to hit it.
+#[test]
+fn governed_reput_across_crash_matches_oracle() {
+    pinned_crash_loop_matches_oracle(
+        CompileOptions::trackfm(),
+        RuntimeConfig::new(4 * 4096, 4 * 4096)
+            .with_max_retries(32)
+            .with_pressure(PressureConfig::governed()),
+    );
+}
+
+/// Regression: a flush whose retries rode out a crash cleared the journal
+/// although the crash had dropped every put it was meant to acknowledge,
+/// so a later fetch found the object gone (`NotFound`).
+#[test]
+fn flush_across_crash_matches_oracle() {
+    pinned_crash_loop_matches_oracle(
+        CompileOptions::cards(),
+        RuntimeConfig::new(4 * 4096, 4 * 4096).with_max_retries(32),
+    );
 }

@@ -6,7 +6,7 @@
 //! every `cargo test`, while CI additionally runs the 200-seed smoke
 //! campaign through the CLI.
 
-use cards_core::difftest::{check_seed, config_matrix, Pipeline};
+use cards_core::difftest::{check_seed, config_matrix, Pipeline, TransportSpec};
 use cards_core::ir::testgen::GenConfig;
 
 /// Seeds chosen to cover both the default and the adversarial program
@@ -26,8 +26,13 @@ fn matrix_spans_the_required_surface() {
         4,
         "all four remoting policies: {policies:?}"
     );
-    let schedules: std::collections::HashSet<u64> =
-        m.iter().map(|c| (c.fault.rate * 100.0) as u64).collect();
+    let schedules: std::collections::HashSet<u64> = m
+        .iter()
+        .map(|c| match c.transport {
+            TransportSpec::Faulty { rate, .. } => (rate * 100.0) as u64,
+            _ => 0,
+        })
+        .collect();
     assert!(schedules.len() >= 2, "at least two fault schedules");
 }
 

@@ -4,8 +4,9 @@
 //! coherent governor trail (re-solves, hint demotions, spills,
 //! pin-starvation relief) in the exports.
 
+use cards_core::ir::testgen::{generate, GenConfig};
 use cards_core::net::SimTransport;
-use cards_core::passes::{compile, CompileOptions};
+use cards_core::passes::{compile, optimize, CompileOptions};
 use cards_core::runtime::telemetry::{export_chrome_trace, export_json, TelemetryConfig};
 use cards_core::runtime::{
     render_report, Access, DsSpec, EventKind, FarMemRuntime, PressureConfig, PressureSchedule,
@@ -355,4 +356,35 @@ fn dirty_eviction_writes_back_before_journal_ack() {
     );
     rt.flush_writebacks();
     assert_eq!(rt.journal_len(), 0, "a successful flush drains the journal");
+}
+
+/// Switching telemetry off must not change what the governor does: its
+/// thrash detector rides the guard-event epoch clock, which keeps running
+/// with recording off. Testgen seed 1 under TrackFM/linear with a sawtooth
+/// schedule re-solves several times, so a stalled clock shows.
+#[test]
+fn governor_is_blind_to_the_telemetry_switch() {
+    let run = |telemetry: TelemetryConfig| {
+        let mut m = generate(1, GenConfig::chaos());
+        optimize(&mut m);
+        let c = compile(m, CompileOptions::trackfm()).expect("compile");
+        let cfg = RuntimeConfig::new(4 * 4096, 4 * 4096)
+            .with_pressure(PressureConfig::governed())
+            .with_telemetry(telemetry);
+        let mut vm = Vm::new(
+            c.module,
+            cfg,
+            SimTransport::default(),
+            RemotingPolicy::Linear,
+            50,
+        );
+        vm.runtime_mut()
+            .set_pressure_schedule(PressureSchedule::sawtooth());
+        vm.run("main", &[]).expect("governed run");
+        (*vm.metrics(), vm.runtime().stats())
+    };
+    let on = run(TelemetryConfig::default());
+    let off = run(TelemetryConfig::disabled());
+    assert!(on.1.resolves > 1, "the thrash detector must re-solve");
+    assert_eq!(on, off, "telemetry must observe the governor, not steer it");
 }
