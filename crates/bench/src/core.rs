@@ -7,14 +7,15 @@
 //! percentiles. The schema is versioned (`cards-bench-core-v1`) and the
 //! runs are fully deterministic: same build, same bytes.
 
-use std::fmt::Write as _;
-
+use cards_net::json::{self, Fixed, Obj};
 use cards_net::{NetworkModel, ShardedConfig, SimTransport};
 use cards_passes::{compile, CompileOptions};
 use cards_runtime::telemetry::HistPath;
 use cards_runtime::{RemotingPolicy, RuntimeConfig};
 use cards_vm::{run_failover_campaign, run_serving, ServeSpec, Vm};
-use cards_workloads::{bfs, kvstore, listing1, serving};
+use cards_workloads::serving;
+
+use crate::profile::{run_starved, workload_modules};
 
 /// Schema tag embedded in the document; bump when the layout changes.
 pub const SCHEMA: &str = "cards-bench-core-v1";
@@ -22,38 +23,6 @@ pub const SCHEMA: &str = "cards-bench-core-v1";
 /// The modeled CPU frequency used to express cycle counts as
 /// instructions/sec (DESIGN.md §5.6: 3 GHz nominal clock).
 pub const MODELED_HZ: u64 = 3_000_000_000;
-
-fn workload_modules(quick: bool) -> Vec<(&'static str, cards_ir::Module)> {
-    let (kv_keys, kv_ops) = if quick { (128, 600) } else { (1_024, 10_000) };
-    let (bfs_nodes, bfs_deg) = if quick { (256, 4) } else { (4_096, 8) };
-    let (l1_elems, l1_ntimes) = if quick { (512, 2) } else { (8_192, 4) };
-    vec![
-        (
-            "kvstore",
-            kvstore::build(kvstore::KvParams {
-                keys: kv_keys,
-                ops: kv_ops,
-            })
-            .0,
-        ),
-        (
-            "bfs",
-            bfs::build(bfs::BfsParams {
-                nodes: bfs_nodes,
-                degree: bfs_deg,
-            })
-            .0,
-        ),
-        (
-            "listing1",
-            listing1::build(listing1::Listing1Params {
-                elems: l1_elems,
-                ntimes: l1_ntimes,
-            })
-            .0,
-        ),
-    ]
-}
 
 /// Modeled instructions/sec: `instructions * MODELED_HZ / cycles`,
 /// computed in u128 so large runs cannot overflow.
@@ -63,55 +32,46 @@ fn instructions_per_sec(instructions: u64, cycles: u64) -> u64 {
 
 /// Build the core document. `quick` shrinks workload sizes (CI smoke).
 pub fn bench_core_json(quick: bool) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{SCHEMA}\",\"modeled_hz\":{MODELED_HZ},\"workloads\":["
+    json::object(|o| {
+        o.field("schema", SCHEMA)
+            .field("modeled_hz", MODELED_HZ)
+            .arr("workloads", |a| {
+                for (name, m) in workload_modules(quick) {
+                    a.obj(|o| workload_fields(o, name, &run_starved(m)));
+                }
+            });
+        serving_fields(o, quick);
+        availability_fields(o, quick);
+    })
+}
+
+/// One workload's modeled throughput, remote cycles and guard latency,
+/// from the same runs as the profile document.
+fn workload_fields(o: &mut Obj<'_>, name: &str, vm: &Vm<SimTransport>) {
+    let metrics = vm.metrics();
+    let rt = vm.runtime();
+    let prof = rt.profiler();
+    let remote_cycles: u64 = prof.sites().iter().map(|c| c.remote_cycles).sum::<u64>()
+        + prof.unattributed().remote_cycles;
+    let tel = rt.telemetry();
+    let (hit, miss) = (
+        tel.hist(HistPath::DerefLocal),
+        tel.hist(HistPath::DerefRemote),
     );
-    for (i, (name, m)) in workload_modules(quick).into_iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let c = compile(m, CompileOptions::cards()).expect("compile");
-        // Same cache-starved, all-remotable setup as the profile document,
-        // so the two artifacts describe the same runs.
-        let cfg = RuntimeConfig::new(0, 2 * 4096);
-        let mut vm = Vm::new(
-            c.module,
-            cfg,
-            SimTransport::default(),
-            RemotingPolicy::AllRemotable,
-            100,
-        );
-        vm.run("main", &[]).expect("run");
-        let metrics = vm.metrics();
-        let rt = vm.runtime();
-        let prof = rt.profiler();
-        let remote_cycles: u64 = prof.sites().iter().map(|c| c.remote_cycles).sum::<u64>()
-            + prof.unattributed().remote_cycles;
-        let tel = rt.telemetry();
-        let (hit, miss) = (
-            tel.hist(HistPath::DerefLocal),
-            tel.hist(HistPath::DerefRemote),
-        );
-        let _ = write!(
-            s,
-            "{{\"name\":\"{name}\",\"instructions\":{},\"cycles\":{},\"instructions_per_sec\":{},\"remote_cycles\":{remote_cycles},\"guard_latency\":{{\"hit_p50\":{},\"hit_p99\":{},\"miss_p50\":{},\"miss_p99\":{}}}}}",
-            metrics.instructions,
-            metrics.cycles,
+    o.field("name", name)
+        .field("instructions", metrics.instructions)
+        .field("cycles", metrics.cycles)
+        .field(
+            "instructions_per_sec",
             instructions_per_sec(metrics.instructions, metrics.cycles),
-            hit.p50(),
-            hit.p99(),
-            miss.p50(),
-            miss.p99(),
-        );
-    }
-    s.push_str("],");
-    s.push_str(&serving_json(quick));
-    s.push(',');
-    s.push_str(&availability_json(quick));
-    s.push('}');
-    s
+        )
+        .field("remote_cycles", remote_cycles)
+        .obj("guard_latency", |o| {
+            o.field("hit_p50", hit.p50())
+                .field("hit_p99", hit.p99())
+                .field("miss_p50", miss.p50())
+                .field("miss_p99", miss.p99());
+        });
 }
 
 /// The concurrent serving section: N worker VMs over the sharded tier,
@@ -121,7 +81,7 @@ pub fn bench_core_json(quick: bool) -> String {
 /// the [`cards_vm::ServeReport`] are emitted — interleaving-dependent
 /// counters (coalesced hits, wire fetches) would break the
 /// byte-reproducibility contract of this document.
-fn serving_json(quick: bool) -> String {
+fn serving_fields(o: &mut Obj<'_>, quick: bool) {
     let (p, workers) = if quick {
         (
             serving::ServingParams {
@@ -153,29 +113,35 @@ fn serving_json(quick: bool) -> String {
     let ws = p.working_set_bytes();
     let cfg = RuntimeConfig::new(0, ws / 4);
     let r = run_serving(&c.module, spec, cfg, RemotingPolicy::MaxUse, 50).expect("serve");
-    // The trailing "counters" subobject is the one interleaving-dependent
-    // region of the document (shared atomic tier counters); consumers —
-    // and the determinism test — strip it before byte-comparing.
-    format!(
-        "\"serving\":{{\"workers\":{},\"shards\":{},\"replicas\":{},\"tenants\":{},\"requests\":{},\"instructions\":{},\"makespan_cycles\":{},\"instructions_per_sec\":{},\"request_p50\":{},\"request_p99\":{},\"counters\":{{\"coalesced_hits\":{},\"wire_fetches\":{},\"trains\":{},\"failovers\":{},\"hedged_fetches\":{},\"hedge_wasted\":{},\"fenced_writes\":{}}}}}",
-        r.workers,
-        spec.net.shards,
-        spec.net.replica.replica_count(),
-        spec.tenants,
-        r.requests,
-        r.instructions,
-        r.makespan_cycles,
-        instructions_per_sec(r.instructions, r.makespan_cycles),
-        r.p50_cycles,
-        r.p99_cycles,
-        r.net.coalesced_hits,
-        r.net.wire_fetches,
-        r.net.trains,
-        r.net.failovers,
-        r.net.hedged_fetches,
-        r.net.hedge_wasted,
-        r.net.fenced_writes,
-    ) + &format!(",\"slo\":{}", cards_vm::slo_json(&r))
+    o.obj("serving", |o| {
+        o.field("workers", r.workers)
+            .field("shards", spec.net.shards)
+            .field("replicas", spec.net.replica.replica_count())
+            .field("tenants", spec.tenants)
+            .field("requests", r.requests)
+            .field("instructions", r.instructions)
+            .field("makespan_cycles", r.makespan_cycles)
+            .field(
+                "instructions_per_sec",
+                instructions_per_sec(r.instructions, r.makespan_cycles),
+            )
+            .field("request_p50", r.p50_cycles)
+            .field("request_p99", r.p99_cycles)
+            // The trailing "counters" subobject is the one
+            // interleaving-dependent region of the document (shared atomic
+            // tier counters); consumers — and the determinism test — strip
+            // it before byte-comparing.
+            .obj("counters", |o| {
+                o.field("coalesced_hits", r.net.coalesced_hits)
+                    .field("wire_fetches", r.net.wire_fetches)
+                    .field("trains", r.net.trains)
+                    .field("failovers", r.net.failovers)
+                    .field("hedged_fetches", r.net.hedged_fetches)
+                    .field("hedge_wasted", r.net.hedge_wasted)
+                    .field("fenced_writes", r.net.fenced_writes);
+            });
+    })
+    .obj("slo", |o| cards_vm::slo_fields(o, &r));
 }
 
 /// The availability section: the deterministic fault-space campaign
@@ -184,7 +150,7 @@ fn serving_json(quick: bool) -> String {
 /// are deterministic; the raw failover/hedge tallies inside each cell are
 /// interleaving-dependent and live under the same strip-before-compare
 /// convention as the serving counters.
-fn availability_json(quick: bool) -> String {
+fn availability_fields(o: &mut Obj<'_>, quick: bool) {
     let (p, workers) = if quick {
         (
             serving::ServingParams {
@@ -224,32 +190,24 @@ fn availability_json(quick: bool) -> String {
         .with_max_retries(8);
     let rep = run_failover_campaign(&c.module, spec, cfg, RemotingPolicy::MaxUse, 50)
         .expect("failover campaign");
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "\"availability\":{{\"cells\":{},\"passed\":{},\"pass\":{},\"results\":[",
-        rep.cells.len(),
-        rep.passed(),
-        rep.pass,
-    );
-    for (i, cell) in rep.cells.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"name\":\"{}\",\"issued\":{},\"ok\":{},\"availability\":{:.6},\"failovers\":{},\"digest_match\":{},\"pass\":{}}}",
-            cell.name,
-            cell.issued,
-            cell.ok,
-            cell.availability(),
-            cell.failovers,
-            cell.digest_match,
-            cell.pass,
-        );
-    }
-    s.push_str("]}");
-    s
+    o.obj("availability", |o| {
+        o.field("cells", rep.cells.len())
+            .field("passed", rep.passed())
+            .field("pass", rep.pass)
+            .arr("results", |a| {
+                for cell in &rep.cells {
+                    a.obj(|o| {
+                        o.field("name", &cell.name)
+                            .field("issued", cell.issued)
+                            .field("ok", cell.ok)
+                            .field("availability", Fixed(cell.availability(), 6))
+                            .field("failovers", cell.failovers)
+                            .field("digest_match", cell.digest_match)
+                            .field("pass", cell.pass);
+                    });
+                }
+            });
+    });
 }
 
 #[cfg(test)]

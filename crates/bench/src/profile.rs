@@ -8,9 +8,8 @@
 //! workload, and the embedded top sites say *which compiler decision*
 //! moved. Runs are fully deterministic — same build, same bytes.
 
-use std::fmt::Write as _;
-
 use cards_ir::SiteId;
+use cards_net::json::{self, Fixed, Obj};
 use cards_net::SimTransport;
 use cards_passes::{compile, CompileOptions};
 use cards_runtime::{RemotingPolicy, RuntimeConfig};
@@ -23,7 +22,8 @@ pub const SCHEMA: &str = "cards-bench-profile-v1";
 /// How many top sites each workload records.
 const TOP_SITES: usize = 5;
 
-fn workload_modules(quick: bool) -> Vec<(&'static str, cards_ir::Module)> {
+/// The snapshot workloads; `quick` shrinks their sizes (CI smoke).
+pub(crate) fn workload_modules(quick: bool) -> Vec<(&'static str, cards_ir::Module)> {
     let (kv_keys, kv_ops) = if quick { (128, 600) } else { (1_024, 10_000) };
     let (bfs_nodes, bfs_deg) = if quick { (256, 4) } else { (4_096, 8) };
     let (l1_elems, l1_ntimes) = if quick { (512, 2) } else { (8_192, 4) };
@@ -55,75 +55,79 @@ fn workload_modules(quick: bool) -> Vec<(&'static str, cards_ir::Module)> {
     ]
 }
 
+/// Compile `m` with CaRDS and run it cache-starved, so data actually
+/// moves, with everything remotable, so the numbers reflect guard traffic
+/// rather than policy choices. Both snapshot documents describe these
+/// runs.
+pub(crate) fn run_starved(m: cards_ir::Module) -> Vm<SimTransport> {
+    let c = compile(m, CompileOptions::cards()).expect("compile");
+    let mut vm = Vm::new(
+        c.module,
+        RuntimeConfig::new(0, 2 * 4096),
+        SimTransport::default(),
+        RemotingPolicy::AllRemotable,
+        100,
+    );
+    vm.run("main", &[]).expect("run");
+    vm
+}
+
 /// Build the profile document. `quick` shrinks workload sizes (CI smoke).
 pub fn bench_profile_json(quick: bool) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "{{\"schema\":\"{SCHEMA}\",\"workloads\":[");
-    for (i, (name, m)) in workload_modules(quick).into_iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let c = compile(m, CompileOptions::cards()).expect("compile");
-        // Cache-starved so data actually moves; everything remotable so the
-        // profile reflects guard traffic, not policy choices.
-        let cfg = RuntimeConfig::new(0, 2 * 4096);
-        let mut vm = Vm::new(
-            c.module,
-            cfg,
-            SimTransport::default(),
-            RemotingPolicy::AllRemotable,
-            100,
-        );
-        vm.run("main", &[]).expect("run");
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for h in 0..vm.runtime().ds_count() as u16 {
-            if let Some(st) = vm.runtime().ds_stats(h) {
-                hits += st.hits;
-                misses += st.misses;
+    json::object(|o| {
+        o.field("schema", SCHEMA).arr("workloads", |a| {
+            for (name, m) in workload_modules(quick) {
+                a.obj(|o| workload_fields(o, name, &run_starved(m)));
             }
-        }
-        let miss_rate = if hits + misses == 0 {
-            0.0
-        } else {
-            misses as f64 / (hits + misses) as f64
-        };
-        let _ = write!(
-            s,
-            "{{\"name\":\"{name}\",\"cycles\":{},\"guards\":{},\"hits\":{hits},\"misses\":{misses},\"miss_rate\":{miss_rate:.4},\"top_sites\":[",
-            vm.metrics().cycles,
-            vm.metrics().guards,
-        );
-        let prof = vm.runtime().profiler();
-        let mut hot: Vec<u32> = prof.active_sites().collect();
-        hot.sort_by_key(|&sid| {
-            let c = prof.site(sid);
-            (
-                std::cmp::Reverse(c.remote_cycles),
-                std::cmp::Reverse(c.checks()),
-                sid,
-            )
         });
-        for (j, &sid) in hot.iter().take(TOP_SITES).enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let site = vm.module().sites.site(SiteId(sid));
-            let cnt = prof.site(sid);
-            let _ = write!(
-                s,
-                "{{\"site\":{sid},\"kind\":\"{}\",\"func\":\"{}\",\"block\":\"{}\",\"hits\":{},\"misses\":{},\"remote_cycles\":{}}}",
-                site.kind.name(),
-                site.func_name,
-                site.block_name,
-                cnt.hits,
-                cnt.misses,
-                cnt.remote_cycles,
-            );
+    })
+}
+
+/// One workload's run: totals plus its hottest sites.
+fn workload_fields(o: &mut Obj<'_>, name: &str, vm: &Vm<SimTransport>) {
+    let (mut hits, mut misses) = (0u64, 0u64);
+    for h in 0..vm.runtime().ds_count() as u16 {
+        if let Some(st) = vm.runtime().ds_stats(h) {
+            hits += st.hits;
+            misses += st.misses;
         }
-        s.push_str("]}");
     }
-    s.push_str("]}");
-    s
+    let miss_rate = if hits + misses == 0 {
+        0.0
+    } else {
+        misses as f64 / (hits + misses) as f64
+    };
+    let prof = vm.runtime().profiler();
+    let mut hot: Vec<u32> = prof.active_sites().collect();
+    hot.sort_by_key(|&sid| {
+        let c = prof.site(sid);
+        (
+            std::cmp::Reverse(c.remote_cycles),
+            std::cmp::Reverse(c.checks()),
+            sid,
+        )
+    });
+    o.field("name", name)
+        .field("cycles", vm.metrics().cycles)
+        .field("guards", vm.metrics().guards)
+        .field("hits", hits)
+        .field("misses", misses)
+        .field("miss_rate", Fixed(miss_rate, 4))
+        .arr("top_sites", |a| {
+            for &sid in hot.iter().take(TOP_SITES) {
+                let site = vm.module().sites.site(SiteId(sid));
+                let cnt = prof.site(sid);
+                a.obj(|o| {
+                    o.field("site", sid)
+                        .field("kind", site.kind.name())
+                        .field("func", &site.func_name)
+                        .field("block", &site.block_name)
+                        .field("hits", cnt.hits)
+                        .field("misses", cnt.misses)
+                        .field("remote_cycles", cnt.remote_cycles);
+                });
+            }
+        });
 }
 
 #[cfg(test)]

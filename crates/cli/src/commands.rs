@@ -873,4 +873,32 @@ mod tests {
         let e = dispatch(&args(&format!("compile {p}"))).unwrap_err();
         assert!(e.contains("unknown instruction"));
     }
+
+    #[test]
+    fn compile_rejects_out_of_range_gep_field() {
+        // micro-list with a field dropped from %Node: its GEPs still
+        // select field 3, which used to pass the verifier and then panic
+        // in DSA's field-offset walk.
+        let dir = std::env::temp_dir().join("cards_cli_gep_field");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (m, _) = cards_workloads::micro::build(
+            cards_workloads::micro::MicroKind::List,
+            cards_workloads::micro::MicroParams::default(),
+        );
+        let good = print_module(&m);
+        let bad = good.replace(
+            "struct %Node { i64, i64, i64, ptr }",
+            "struct %Node { i64, i64, ptr }",
+        );
+        assert_ne!(good, bad, "the demo's struct line moved");
+        let path = dir.join("micro_list_bad.ir");
+        std::fs::write(&path, bad).unwrap();
+        let p = path.to_string_lossy().to_string();
+        let e = dispatch(&args(&format!("compile {p}"))).unwrap_err();
+        assert!(e.contains("verification failed"), "got: {e}");
+        assert!(
+            e.contains("field 3 out of range for struct %Node (3 fields)"),
+            "got: {e}"
+        );
+    }
 }

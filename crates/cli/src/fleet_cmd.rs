@@ -92,7 +92,7 @@ pub fn cmd_fleet(a: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonx;
+    use cards_net::json;
 
     fn args(s: &str) -> Args {
         Args::parse(s.split_whitespace().map(String::from)).unwrap()
@@ -112,7 +112,7 @@ mod tests {
         let export = std::fs::read_to_string(dir.join("fleet.json")).unwrap();
         assert!(export.contains("\"schema\":\"cards-fleet-v1\""));
         assert!(export.contains("\"joined\":true"));
-        let parsed = jsonx::parse(&export).expect("valid json");
+        let parsed = json::parse(&export).expect("valid json");
         assert_eq!(parsed.str_of("schema"), "cards-fleet-v1");
         assert!(!parsed.arr_of("timelines").is_empty());
         let report = std::fs::read_to_string(dir.join("fleet.txt")).unwrap();
@@ -136,7 +136,7 @@ mod tests {
             export.contains("\"incidents\":[{"),
             "kill must log an incident"
         );
-        let parsed = jsonx::parse(&export).expect("valid json");
+        let parsed = json::parse(&export).expect("valid json");
         let inc = parsed.arr_of("incidents");
         assert!(!inc.is_empty());
         assert_eq!(inc[0].u64_of("shard"), 0);

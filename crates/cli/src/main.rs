@@ -14,7 +14,6 @@
 mod args;
 mod commands;
 mod fleet_cmd;
-mod jsonx;
 mod ttrace_cmd;
 
 use args::Args;

@@ -15,6 +15,7 @@
 use std::fmt::Write as _;
 use std::fs;
 
+use cards_net::json::{self, Json};
 use cards_net::{ChaosSchedule, ChaosTransport, FaultyTransport, SimTransport, Transport};
 use cards_passes::{compile, CompileOptions};
 use cards_runtime::{RuntimeConfig, TraceConfig};
@@ -22,7 +23,6 @@ use cards_vm::Vm;
 
 use crate::args::Args;
 use crate::commands::{load_module, parse_policy};
-use crate::jsonx::{self, Json};
 
 /// Entry point for the `ttrace` subcommand (run or diff).
 pub fn cmd_ttrace(a: &Args) -> Result<(), String> {
@@ -98,7 +98,7 @@ fn emit<T: Transport>(a: &Args, vm: &Vm<T>) -> Result<(), String> {
 /// (`cards-ttrace-v1`) and the fleet export (`cards-fleet-v1`).
 fn load_export(path: &str) -> Result<Json, String> {
     let src = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let j = jsonx::parse(&src).map_err(|e| format!("{path}: {e}"))?;
+    let j = json::parse(&src).map_err(|e| format!("{path}: {e}"))?;
     match j.str_of("schema") {
         "cards-ttrace-v1" | "cards-fleet-v1" => Ok(j),
         other => Err(format!(
@@ -503,7 +503,7 @@ mod tests {
         .expect("storm ttrace");
         let flight = dir.join("FLIGHT_0.json");
         assert!(flight.exists(), "storm run must dump a flight snapshot");
-        let fj = jsonx::parse(&std::fs::read_to_string(&flight).unwrap()).unwrap();
+        let fj = json::parse(&std::fs::read_to_string(&flight).unwrap()).unwrap();
         assert_eq!(fj.str_of("schema"), "cards-flight-v1");
         assert!(!fj.arr_of("trees").is_empty());
 
@@ -557,6 +557,26 @@ mod tests {
         std::fs::write(&t, r#"{"schema":"cards-ttrace-v1"}"#).unwrap();
         let pt = t.to_string_lossy().to_string();
         assert!(cmd_ttrace(&args(&format!("ttrace diff {pa} {pt}"))).is_err());
+    }
+
+    #[test]
+    fn export_of_a_module_with_quotes_in_its_name_reads_back() {
+        let dir = std::env::temp_dir().join("cards_cli_ttrace_quoted");
+        let p = kv_ir(&dir);
+        let src = std::fs::read_to_string(&p).unwrap();
+        let (first, rest) = src.split_once('\n').unwrap();
+        assert_eq!(first, "module kvstore");
+        std::fs::write(&p, format!("module kv\"\\x\n{rest}")).unwrap();
+        let t = dir.join("t.json").to_string_lossy().to_string();
+        let d = dir.to_string_lossy().to_string();
+        cmd_ttrace(&args(&format!(
+            "ttrace {p} --json {t} --out {d}/t.txt --flight-dir {d}"
+        )))
+        .expect("ttrace");
+        let j = load_export(&t).expect("export reads back");
+        assert_eq!(j.str_of("module"), "kv\"\\x");
+        let out = dir.join("diff.txt").to_string_lossy().to_string();
+        cmd_ttrace(&args(&format!("ttrace diff {t} {t} --out {out}"))).expect("self diff");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::fmt;
 use crate::analysis::cfg::Cfg;
 use crate::analysis::dom::DomTree;
 use crate::function::{Function, Module};
-use crate::inst::{BlockId, Inst, InstId, Value};
+use crate::inst::{BlockId, GepIdx, Inst, InstId, Value};
 use crate::types::Type;
 
 /// A verification failure, tagged with function/block context.
@@ -314,9 +314,48 @@ fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
             Inst::DsInit { meta } if meta.0 as usize >= m.ds_metas.len() => {
                 err(errs, Some(b), format!("ds_init of unknown meta {}", meta.0));
             }
+            Inst::Gep {
+                pointee, indices, ..
+            } => {
+                if let Some(msg) = gep_field_error(m, *pointee, indices) {
+                    err(errs, Some(b), format!("gep %{}: {msg}", iid.0));
+                }
+            }
             _ => {}
         }
     }
+}
+
+/// The first struct field a GEP selects past its struct's field count.
+/// The layout walk is the one DSA, guard insertion and the VM make: the
+/// first index scales the whole pointee, later indices step into arrays,
+/// and a field index on a non-struct selects nothing.
+fn gep_field_error(m: &Module, pointee: Type, indices: &[GepIdx]) -> Option<String> {
+    let mut cur = pointee;
+    for (k, ix) in indices.iter().enumerate() {
+        match *ix {
+            GepIdx::Field(n) => {
+                if let Type::Struct(sid) = cur {
+                    let st = m.types.struct_ty(sid);
+                    let Some(&field) = st.fields.get(n as usize) else {
+                        return Some(format!(
+                            "field {n} out of range for struct %{} ({} fields)",
+                            st.name,
+                            st.fields.len()
+                        ));
+                    };
+                    cur = field;
+                }
+            }
+            GepIdx::Index(_) if k > 0 => {
+                if let Type::Array(a) = cur {
+                    cur = m.types.array_ty(a).elem;
+                }
+            }
+            GepIdx::Index(_) => {}
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
+use crate::histogram::Histogram;
 use crate::wiretap::TraceContext;
 
 /// Which server-side phase a [`ServerSpan`] covers.
@@ -99,59 +100,8 @@ pub struct ServerSpan {
     pub depth: u64,
 }
 
-/// Log2 histogram with 16 buckets (value 0 → bucket 0, else
-/// `min(15, floor(log2(v)) + 1)`), used for the per-shard queue-depth and
-/// train-size distributions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DepthHist {
-    /// Bucket counts.
-    pub buckets: [u64; 16],
-}
-
-impl DepthHist {
-    /// Record one observation.
-    pub fn observe(&mut self, v: u64) {
-        let b = if v == 0 {
-            0
-        } else {
-            ((64 - v.leading_zeros()) as usize).min(15)
-        };
-        self.buckets[b] += 1;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Approximate quantile: lower bound of the bucket holding rank
-    /// `q_permille/1000` (0 when empty).
-    pub fn quantile(&self, q_permille: u64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = (q_permille * (total - 1)) / 1000;
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if n > 0 && seen > rank {
-                return if b == 0 { 0 } else { 1u64 << (b - 1) };
-            }
-        }
-        0
-    }
-
-    /// Merge another histogram in.
-    pub fn merge(&mut self, other: &DepthHist) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
-}
-
 /// Deterministic per-shard gauges kept by each client's span log.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardGauges {
     /// Operations this client charged against the shard (wire fetches,
     /// buffered puts, removes, train departures).
@@ -159,9 +109,9 @@ pub struct ShardGauges {
     /// Server-side span cycles attributed to the shard.
     pub server_cycles: u64,
     /// Outstanding-train (request window) depth observed per operation.
-    pub queue_depth: DepthHist,
+    pub queue_depth: Histogram,
     /// Writeback-train sizes at departure.
-    pub train_size: DepthHist,
+    pub train_size: Histogram,
 }
 
 impl ShardGauges {
@@ -544,17 +494,19 @@ mod tests {
 
     #[test]
     fn depth_hist_buckets_and_quantiles() {
-        let mut h = DepthHist::default();
+        let mut g = ShardGauges::default();
         for v in [0u64, 1, 1, 2, 3, 4, 8, 100] {
-            h.observe(v);
+            g.queue_depth.record(v);
         }
+        let h = &g.queue_depth;
         assert_eq!(h.count(), 8);
-        assert_eq!(h.buckets[0], 1, "zero lands in bucket 0");
-        assert_eq!(h.buckets[1], 2, "ones in bucket 1");
-        assert!(h.quantile(500) >= 1);
-        assert!(h.quantile(999) >= 8);
-        assert!(h.quantile(1000) >= 64, "max rank sees the 100");
-        assert_eq!(DepthHist::default().quantile(500), 0);
+        let b = h.nonzero_buckets();
+        assert_eq!(b[0], (0, 1), "zero lands in bucket 0");
+        assert_eq!(b[1], (1, 2), "ones in bucket 1");
+        assert_eq!(h.p50(), 2, "4th of 8 values sits in [2,4)");
+        assert_eq!(h.p99(), 64, "the 100 sits in [64,128)");
+        assert_eq!(h.percentile(1.0), 100, "max rank is the exact max");
+        assert_eq!(ShardGauges::default().queue_depth.p50(), 0);
     }
 
     #[test]
@@ -586,13 +538,13 @@ mod tests {
             server_cycles: 10,
             ..ShardGauges::default()
         };
-        a.queue_depth.observe(2);
+        a.queue_depth.record(2);
         let mut b = ShardGauges {
             ops: 5,
             server_cycles: 7,
             ..ShardGauges::default()
         };
-        b.queue_depth.observe(2);
+        b.queue_depth.record(2);
         a.merge(&b);
         assert_eq!(a.ops, 8);
         assert_eq!(a.server_cycles, 17);

@@ -20,11 +20,16 @@
 //!   transport facade serving many concurrent worker VMs, with fetch
 //!   coalescing, batched windowed writeback trains, primary→backup journal
 //!   shipping, epoch-fenced failover and hedged reads ([`replica`]).
+//!
+//! It also holds what every layer above shares: the one log2
+//! [`Histogram`] and the [`json`] writer and reader behind every export.
 
 pub mod chaos;
 pub mod envelope;
 pub mod fault;
 pub mod fleet;
+pub mod histogram;
+pub mod json;
 pub mod model;
 pub mod prng;
 pub mod replica;
@@ -37,9 +42,10 @@ pub mod wiretap;
 pub use chaos::{ChaosPhase, ChaosSchedule, ChaosStats, ChaosTransport, ScheduledPhase};
 pub use fault::FaultyTransport;
 pub use fleet::{
-    DepthHist, FailoverIncident, FleetEvent, FleetEventLog, FleetEventSummary, ServerSpan,
-    ServerSpanKind, ServerSpanLog, ShardEvents, ShardGauges, INCIDENT_PHASES,
+    FailoverIncident, FleetEvent, FleetEventLog, FleetEventSummary, ServerSpan, ServerSpanKind,
+    ServerSpanLog, ShardEvents, ShardGauges, INCIDENT_PHASES,
 };
+pub use histogram::Histogram;
 pub use model::NetworkModel;
 pub use prng::SplitMix64;
 pub use replica::ReplicaConfig;

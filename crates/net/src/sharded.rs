@@ -861,7 +861,7 @@ impl ShardedClient {
             .add_residue(cycles - self.model.per_msg_cpu - wire);
         let g = self.slog.gauges(shard as u32);
         g.ops += 1;
-        g.queue_depth.observe(depth);
+        g.queue_depth.record(depth);
         Ok(Fetched { bytes, cycles })
     }
 
@@ -959,7 +959,7 @@ impl ShardedClient {
         );
         let g = self.slog.gauges(shard as u32);
         g.ops += 1;
-        g.train_size.observe(members);
+        g.train_size.record(members);
         if self.shards[shard].window.len() > self.cfg.window.max(1) {
             // This departure will stall on the oldest outstanding ack:
             // the request window is saturated (anomaly trigger fodder).

@@ -20,7 +20,7 @@
 //! Everything is saturating and driven by the deterministic modeled clock:
 //! identical runs produce byte-identical profiles.
 
-use crate::telemetry::Histogram;
+use cards_net::Histogram;
 
 /// Saturating counters for one attribution site.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -24,8 +24,9 @@
 //! `chrome://tracing` / Perfetto with one track per data structure.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 
+use cards_net::json::{self, Fixed, Obj};
+pub use cards_net::Histogram;
 use cards_net::{NetStats, Transport};
 
 use crate::runtime::FarMemRuntime;
@@ -399,130 +400,6 @@ impl HistPath {
     }
 }
 
-/// A log2-bucketed histogram of cycle latencies. Bucket `b` (b ≥ 1) counts
-/// values in `[2^(b-1), 2^b)`; bucket 0 counts zeros. 65 buckets cover the
-/// full `u64` range.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Lower bound of bucket `b`.
-    fn bucket_floor(b: usize) -> u64 {
-        if b == 0 {
-            0
-        } else {
-            1u64 << (b - 1)
-        }
-    }
-
-    /// Record one value.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count = self.count.saturating_add(1);
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate `q`-quantile (`0 < q ≤ 1`): the lower bound of the
-    /// bucket holding the q-th value, clamped to the observed min/max so
-    /// single-bucket histograms report exact values. Returns 0 when empty.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        if q >= 1.0 {
-            // The q=1 quantile is the observed maximum, exactly; the
-            // bucket-walk below would round it down to a bucket floor.
-            return self.max;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return Self::bucket_floor(b).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Median (approximate; see [`Self::percentile`]).
-    pub fn p50(&self) -> u64 {
-        self.percentile(0.50)
-    }
-
-    /// 95th percentile (approximate).
-    pub fn p95(&self) -> u64 {
-        self.percentile(0.95)
-    }
-
-    /// 99th percentile (approximate).
-    pub fn p99(&self) -> u64 {
-        self.percentile(0.99)
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(b, &n)| (Self::bucket_floor(b), n))
-            .collect()
-    }
-}
-
 /// Per-DS counter deltas for one epoch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DsEpochDelta {
@@ -718,33 +595,14 @@ impl Telemetry {
 
 // ---- exporters ----
 
-/// Append `s` JSON-escaped (quotes included) to `out`.
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// The event's kind-specific fields as `"k":v` pairs (no braces).
-fn event_fields(out: &mut String, kind: &EventKind) {
+/// The event's kind-specific fields, written into the enclosing object.
+fn event_fields(o: &mut Obj<'_>, kind: &EventKind) {
     match kind {
         EventKind::GuardHit { ds, index }
         | EventKind::GuardMiss { ds, index }
         | EventKind::PrefetchIssue { ds, index }
         | EventKind::PrefetchConfirm { ds, index } => {
-            let _ = write!(out, "\"ds\":{ds},\"index\":{index}");
+            o.field("ds", ds).field("index", index);
         }
         EventKind::Fetch {
             ds,
@@ -753,13 +611,16 @@ fn event_fields(out: &mut String, kind: &EventKind) {
             cycles,
             prefetch,
         } => {
-            let _ = write!(
-                out,
-                "\"ds\":{ds},\"index\":{index},\"bytes\":{bytes},\"cycles\":{cycles},\"prefetch\":{prefetch}"
-            );
+            o.field("ds", ds)
+                .field("index", index)
+                .field("bytes", bytes)
+                .field("cycles", cycles)
+                .field("prefetch", prefetch);
         }
         EventKind::Eviction { ds, index, dirty } => {
-            let _ = write!(out, "\"ds\":{ds},\"index\":{index},\"dirty\":{dirty}");
+            o.field("ds", ds)
+                .field("index", index)
+                .field("dirty", dirty);
         }
         EventKind::Writeback {
             ds,
@@ -767,10 +628,10 @@ fn event_fields(out: &mut String, kind: &EventKind) {
             bytes,
             cycles,
         } => {
-            let _ = write!(
-                out,
-                "\"ds\":{ds},\"index\":{index},\"bytes\":{bytes},\"cycles\":{cycles}"
-            );
+            o.field("ds", ds)
+                .field("index", index)
+                .field("bytes", bytes)
+                .field("cycles", cycles);
         }
         EventKind::Retry {
             ds,
@@ -779,10 +640,11 @@ fn event_fields(out: &mut String, kind: &EventKind) {
             write,
             backoff,
         } => {
-            let _ = write!(
-                out,
-                "\"ds\":{ds},\"index\":{index},\"attempt\":{attempt},\"write\":{write},\"backoff\":{backoff}"
-            );
+            o.field("ds", ds)
+                .field("index", index)
+                .field("attempt", attempt)
+                .field("write", write)
+                .field("backoff", backoff);
         }
         EventKind::NetAbort {
             ds,
@@ -790,265 +652,238 @@ fn event_fields(out: &mut String, kind: &EventKind) {
             attempts,
             write,
         } => {
-            let _ = write!(
-                out,
-                "\"ds\":{ds},\"index\":{index},\"attempts\":{attempts},\"write\":{write}"
-            );
+            o.field("ds", ds)
+                .field("index", index)
+                .field("attempts", attempts)
+                .field("write", write);
         }
         EventKind::Breaker { ds, from, to } => {
-            let _ = write!(out, "\"ds\":{ds},\"from\":\"{from}\",\"to\":\"{to}\"");
+            o.field("ds", ds).field("from", from).field("to", to);
         }
         EventKind::CrashDetected { generation } => {
-            let _ = write!(out, "\"generation\":{generation}");
+            o.field("generation", generation);
         }
         EventKind::JournalReplay { ds, index, bytes } => {
-            let _ = write!(out, "\"ds\":{ds},\"index\":{index},\"bytes\":{bytes}");
+            o.field("ds", ds)
+                .field("index", index)
+                .field("bytes", bytes);
         }
         EventKind::PolicyDecision { ds, pinned, why } => {
-            let _ = write!(out, "\"ds\":{ds},\"pinned\":{pinned},\"why\":");
-            json_str(out, why);
+            o.field("ds", ds).field("pinned", pinned).field("why", why);
         }
         EventKind::Demotion { ds } => {
-            let _ = write!(out, "\"ds\":{ds}");
+            o.field("ds", ds);
         }
         EventKind::DsRegister { ds, hint } => {
-            let _ = write!(out, "\"ds\":{ds},\"hint\":");
-            json_str(out, &format!("{hint:?}"));
+            o.field("ds", ds).field("hint", format!("{hint:?}"));
         }
         EventKind::DsAlloc { ds, bytes } | EventKind::Free { ds, bytes } => {
-            let _ = write!(out, "\"ds\":{ds},\"bytes\":{bytes}");
+            o.field("ds", ds).field("bytes", bytes);
         }
         EventKind::ScopeBegin { depth } | EventKind::ScopeEnd { depth } => {
-            let _ = write!(out, "\"depth\":{depth}");
+            o.field("depth", depth);
         }
         EventKind::Dispatch { slow } => {
-            let _ = write!(out, "\"slow\":{slow}");
+            o.field("slow", slow);
         }
         EventKind::Epoch { seq } => {
-            let _ = write!(out, "\"seq\":{seq}");
+            o.field("seq", seq);
         }
         EventKind::PressurePhase {
             phase,
             pinned_pct,
             remotable_pct,
         } => {
-            let _ = write!(
-                out,
-                "\"phase\":{phase},\"pinned_pct\":{pinned_pct},\"remotable_pct\":{remotable_pct}"
-            );
+            o.field("phase", phase)
+                .field("pinned_pct", pinned_pct)
+                .field("remotable_pct", remotable_pct);
         }
         EventKind::PressureHigh { used, budget } => {
-            let _ = write!(out, "\"used\":{used},\"budget\":{budget}");
+            o.field("used", used).field("budget", budget);
         }
         EventKind::ProactiveEvict { evicted, bytes } => {
-            let _ = write!(out, "\"evicted\":{evicted},\"bytes\":{bytes}");
+            o.field("evicted", evicted).field("bytes", bytes);
         }
         EventKind::PinStarvation { used, window } => {
-            let _ = write!(out, "\"used\":{used},\"window\":{window}");
+            o.field("used", used).field("window", window);
         }
         EventKind::Spill { ds, index, write } => {
-            let _ = write!(out, "\"ds\":{ds},\"index\":{index},\"write\":{write}");
+            o.field("ds", ds)
+                .field("index", index)
+                .field("write", write);
         }
         EventKind::HintDemoted { ds, why } | EventKind::HintPromoted { ds, why } => {
-            let _ = write!(out, "\"ds\":{ds},\"why\":");
-            json_str(out, why);
+            o.field("ds", ds).field("why", why);
         }
         EventKind::Resolve {
             epoch,
             demoted,
             promoted,
         } => {
-            let _ = write!(
-                out,
-                "\"epoch\":{epoch},\"demoted\":{demoted},\"promoted\":{promoted}"
-            );
+            o.field("epoch", epoch)
+                .field("demoted", demoted)
+                .field("promoted", promoted);
         }
     }
 }
 
-fn hist_json(out: &mut String, h: &Histogram) {
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{:.1},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-        h.count(),
-        h.min(),
-        h.max(),
-        h.mean(),
-        h.p50(),
-        h.p95(),
-        h.p99()
-    );
-    for (i, (lo, n)) in h.nonzero_buckets().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{lo},{n}]");
-    }
-    out.push_str("]}");
+fn hist_fields(o: &mut Obj<'_>, h: &Histogram) {
+    o.field("count", h.count())
+        .field("min", h.min())
+        .field("max", h.max())
+        .field("mean", Fixed(h.mean(), 1))
+        .field("p50", h.p50())
+        .field("p95", h.p95())
+        .field("p99", h.p99())
+        .arr("buckets", |a| {
+            for (lo, n) in h.nonzero_buckets() {
+                a.arr(|a| {
+                    a.item(lo).item(n);
+                });
+            }
+        });
 }
 
-fn net_json(out: &mut String, n: &NetStats) {
-    let _ = write!(
-        out,
-        "{{\"fetches\":{},\"writebacks\":{},\"bytes_fetched\":{},\"bytes_written\":{},\"retries\":{},\"cycles\":{}}}",
-        n.fetches, n.writebacks, n.bytes_fetched, n.bytes_written, n.retries, n.cycles
-    );
+fn net_fields(o: &mut Obj<'_>, n: &NetStats) {
+    o.field("fetches", n.fetches)
+        .field("writebacks", n.writebacks)
+        .field("bytes_fetched", n.bytes_fetched)
+        .field("bytes_written", n.bytes_written)
+        .field("retries", n.retries)
+        .field("cycles", n.cycles);
 }
 
 /// Export the runtime's full telemetry state (events, histograms, epochs,
 /// cumulative stats) as deterministic JSON: same run → same bytes.
 pub fn export_json<T: Transport>(rt: &FarMemRuntime<T>) -> String {
     let tel = rt.telemetry();
-    let mut s = String::new();
     let g = rt.stats();
-    let _ = write!(
-        s,
-        "{{\"clock_cycles\":{},\"guard_events\":{},\"dropped_events\":{},\"dropped_by_kind\":{{",
-        g.cycles,
-        tel.guard_events(),
-        tel.dropped()
-    );
-    for (i, (k, n)) in tel.dropped_by_kind().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{k}\":{n}");
-    }
-    s.push_str("},\"events\":[");
-    for (i, e) in tel.events().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"cycle\":{},\"kind\":\"{}\",", e.cycle, e.kind.name());
-        event_fields(&mut s, &e.kind);
-        s.push('}');
-    }
-    s.push_str("],\"histograms\":{");
-    for (i, p) in HistPath::ALL.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\":", p.name());
-        hist_json(&mut s, tel.hist(*p));
-    }
-    s.push_str("},\"epochs\":[");
-    for (i, ep) in tel.epochs().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"seq\":{},\"cycle\":{},\"net\":", ep.seq, ep.cycle);
-        net_json(&mut s, &ep.net);
-        s.push_str(",\"ds\":[");
-        for (j, d) in ep.ds.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"ds\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"writebacks\":{},\"prefetch_issued\":{},\"prefetch_useful\":{}}}",
-                d.ds, d.hits, d.misses, d.evictions, d.writebacks, d.prefetch_issued, d.prefetch_useful
-            );
-        }
-        s.push_str("]}");
-    }
-    s.push_str("],\"ds\":[");
-    for h in 0..rt.ds_count() as u16 {
-        let (Some(st), Some(spec)) = (rt.ds_stats(h), rt.ds_spec(h)) else {
-            continue;
-        };
-        if h > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"handle\":{h},\"name\":");
-        json_str(&mut s, &spec.name);
-        let _ = write!(
-            s,
-            ",\"remotable\":{},\"hits\":{},\"misses\":{},\"miss_ratio\":{:.4},\"evictions\":{},\"writebacks\":{},\"prefetch_issued\":{},\"prefetch_useful\":{},\"demotions\":{},\"breaker_trips\":{},\"spills\":{},\"hint_demotions\":{},\"hint_promotions\":{},\"bytes_allocated\":{}}}",
-            rt.is_remotable(h),
-            st.hits,
-            st.misses,
-            st.miss_ratio(),
-            st.evictions,
-            st.writebacks,
-            st.prefetch_issued,
-            st.prefetch_useful,
-            st.demotions,
-            st.breaker_trips,
-            st.spills,
-            st.hint_demotions,
-            st.hint_promotions,
-            st.bytes_allocated
-        );
-    }
-    let _ = write!(
-        s,
-        "],\"totals\":{{\"custody_checks\":{},\"derefs_local\":{},\"derefs_remote\":{},\"remotable_checks\":{},\"retries\":{},\"overcommits\":{},\"timeouts\":{},\"corrupt_fetches\":{},\"backoff_cycles\":{},\"journal_replays\":{},\"crashes_detected\":{},\"flush_failures\":{},\"pressure_high_crossings\":{},\"proactive_evictions\":{},\"pressure_phase_changes\":{},\"resolves\":{},\"hint_demotions\":{},\"hint_promotions\":{},\"spill_reads\":{},\"spill_writes\":{},\"pin_starvations\":{},\"cycles\":{}}},\"net\":",
-        g.custody_checks,
-        g.derefs_local,
-        g.derefs_remote,
-        g.remotable_checks,
-        g.retries,
-        g.overcommits,
-        g.timeouts,
-        g.corrupt_fetches,
-        g.backoff_cycles,
-        g.journal_replays,
-        g.crashes_detected,
-        g.flush_failures,
-        g.pressure_high_crossings,
-        g.proactive_evictions,
-        g.pressure_phase_changes,
-        g.resolves,
-        g.hint_demotions,
-        g.hint_promotions,
-        g.spill_reads,
-        g.spill_writes,
-        g.pin_starvations,
-        g.cycles
-    );
-    net_json(&mut s, &rt.net_stats());
-    s.push_str(",\"profile\":");
-    profile_json_fragment(&mut s, rt.profiler());
-    s.push('}');
-    s
+    json::object(|o| {
+        o.field("clock_cycles", g.cycles)
+            .field("guard_events", tel.guard_events())
+            .field("dropped_events", tel.dropped())
+            .obj("dropped_by_kind", |o| {
+                for (k, n) in tel.dropped_by_kind() {
+                    o.field(k, n);
+                }
+            })
+            .arr("events", |a| {
+                for e in tel.events() {
+                    a.obj(|o| {
+                        o.field("cycle", e.cycle).field("kind", e.kind.name());
+                        event_fields(o, &e.kind);
+                    });
+                }
+            })
+            .obj("histograms", |o| {
+                for p in HistPath::ALL {
+                    o.obj(p.name(), |o| hist_fields(o, tel.hist(p)));
+                }
+            })
+            .arr("epochs", |a| {
+                for ep in tel.epochs() {
+                    a.obj(|o| {
+                        o.field("seq", ep.seq)
+                            .field("cycle", ep.cycle)
+                            .obj("net", |o| net_fields(o, &ep.net))
+                            .arr("ds", |a| {
+                                for d in &ep.ds {
+                                    a.obj(|o| {
+                                        o.field("ds", d.ds)
+                                            .field("hits", d.hits)
+                                            .field("misses", d.misses)
+                                            .field("evictions", d.evictions)
+                                            .field("writebacks", d.writebacks)
+                                            .field("prefetch_issued", d.prefetch_issued)
+                                            .field("prefetch_useful", d.prefetch_useful);
+                                    });
+                                }
+                            });
+                    });
+                }
+            })
+            .arr("ds", |a| {
+                for h in 0..rt.ds_count() as u16 {
+                    let (Some(st), Some(spec)) = (rt.ds_stats(h), rt.ds_spec(h)) else {
+                        continue;
+                    };
+                    a.obj(|o| {
+                        o.field("handle", h)
+                            .field("name", &spec.name)
+                            .field("remotable", rt.is_remotable(h))
+                            .field("hits", st.hits)
+                            .field("misses", st.misses)
+                            .field("miss_ratio", Fixed(st.miss_ratio(), 4))
+                            .field("evictions", st.evictions)
+                            .field("writebacks", st.writebacks)
+                            .field("prefetch_issued", st.prefetch_issued)
+                            .field("prefetch_useful", st.prefetch_useful)
+                            .field("demotions", st.demotions)
+                            .field("breaker_trips", st.breaker_trips)
+                            .field("spills", st.spills)
+                            .field("hint_demotions", st.hint_demotions)
+                            .field("hint_promotions", st.hint_promotions)
+                            .field("bytes_allocated", st.bytes_allocated);
+                    });
+                }
+            })
+            .obj("totals", |o| {
+                o.field("custody_checks", g.custody_checks)
+                    .field("derefs_local", g.derefs_local)
+                    .field("derefs_remote", g.derefs_remote)
+                    .field("remotable_checks", g.remotable_checks)
+                    .field("retries", g.retries)
+                    .field("overcommits", g.overcommits)
+                    .field("timeouts", g.timeouts)
+                    .field("corrupt_fetches", g.corrupt_fetches)
+                    .field("backoff_cycles", g.backoff_cycles)
+                    .field("journal_replays", g.journal_replays)
+                    .field("crashes_detected", g.crashes_detected)
+                    .field("flush_failures", g.flush_failures)
+                    .field("pressure_high_crossings", g.pressure_high_crossings)
+                    .field("proactive_evictions", g.proactive_evictions)
+                    .field("pressure_phase_changes", g.pressure_phase_changes)
+                    .field("resolves", g.resolves)
+                    .field("hint_demotions", g.hint_demotions)
+                    .field("hint_promotions", g.hint_promotions)
+                    .field("spill_reads", g.spill_reads)
+                    .field("spill_writes", g.spill_writes)
+                    .field("pin_starvations", g.pin_starvations)
+                    .field("cycles", g.cycles);
+            })
+            .obj("net", |o| net_fields(o, &rt.net_stats()))
+            .obj("profile", |o| profile_fields(o, rt.profiler()));
+    })
 }
 
-/// Append one site's counters as a JSON object (shared with the VM's
+/// One site's counters as object members (shared with the VM's
 /// site-joined profile exporter).
-pub fn site_counters_json(out: &mut String, c: &crate::profile::SiteCounters) {
-    let _ = write!(
-        out,
-        "{{\"hits\":{},\"misses\":{},\"remote_cycles\":{},\"evictions\":{},\"prefetch_issued\":{},\"prefetch_useful\":{},\"spills\":{},\"slow_entries\":{},\"fast_entries\":{},\"remote_hist\":",
-        c.hits,
-        c.misses,
-        c.remote_cycles,
-        c.evictions,
-        c.prefetch_issued,
-        c.prefetch_useful,
-        c.spills,
-        c.slow_entries,
-        c.fast_entries
-    );
-    hist_json(out, &c.remote_hist);
-    out.push('}');
+pub fn site_counters_fields(o: &mut Obj<'_>, c: &crate::profile::SiteCounters) {
+    o.field("hits", c.hits)
+        .field("misses", c.misses)
+        .field("remote_cycles", c.remote_cycles)
+        .field("evictions", c.evictions)
+        .field("prefetch_issued", c.prefetch_issued)
+        .field("prefetch_useful", c.prefetch_useful)
+        .field("spills", c.spills)
+        .field("slow_entries", c.slow_entries)
+        .field("fast_entries", c.fast_entries)
+        .obj("remote_hist", |o| hist_fields(o, &c.remote_hist));
 }
 
-/// Append the profiler's per-site counters as a JSON object. Shared by
-/// [`export_json`] and `cards_vm`'s site-joined profile exporter (which
-/// adds the static site context the runtime cannot see).
-pub fn profile_json_fragment(out: &mut String, p: &crate::profile::SiteProfiler) {
-    out.push_str("{\"unattributed\":");
-    site_counters_json(out, p.unattributed());
-    out.push_str(",\"sites\":[");
-    for (i, sid) in p.active_sites().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// The profiler's per-site counters as object members.
+fn profile_fields(o: &mut Obj<'_>, p: &crate::profile::SiteProfiler) {
+    o.obj("unattributed", |o| {
+        site_counters_fields(o, p.unattributed())
+    })
+    .arr("sites", |a| {
+        for sid in p.active_sites() {
+            a.obj(|o| {
+                o.field("site", sid)
+                    .obj("counters", |o| site_counters_fields(o, &p.site(sid)));
+            });
         }
-        let _ = write!(out, "{{\"site\":{sid},\"counters\":");
-        site_counters_json(out, &p.site(sid));
-        out.push('}');
-    }
-    out.push_str("]}");
+    });
 }
 
 /// Export the event ring in Chrome `trace_event` JSON (array-of-events
@@ -1057,79 +892,70 @@ pub fn profile_json_fragment(out: &mut String, p: &crate::profile::SiteProfiler)
 /// (`tid`), with runtime-global events on track 0.
 pub fn export_chrome_trace<T: Transport>(rt: &FarMemRuntime<T>) -> String {
     let tel = rt.telemetry();
-    let mut s = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let push = |s: &mut String, first: &mut bool, ev: String| {
-        if !*first {
-            s.push(',');
-        }
-        *first = false;
-        s.push_str(&ev);
+    // One named track per DS, plus the runtime track.
+    let track = |a: &mut json::Arr<'_>, tid: u32, name: &str| {
+        a.obj(|o| {
+            o.field("ph", "M")
+                .field("pid", 1u32)
+                .field("tid", tid)
+                .field("name", "thread_name")
+                .obj("args", |o| {
+                    o.field("name", name);
+                });
+        });
     };
-    // Name one track per DS, plus the runtime track.
-    push(
-        &mut s,
-        &mut first,
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"runtime\"}}"
-            .to_string(),
-    );
-    for h in 0..rt.ds_count() as u16 {
-        let Some(spec) = rt.ds_spec(h) else { continue };
-        let mut name = String::new();
-        json_str(&mut name, &format!("ds{h} {}", spec.name));
-        push(
-            &mut s,
-            &mut first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{name}}}}}",
-                h + 1
-            ),
-        );
-    }
-    for e in tel.events() {
-        let (tid, dur): (u32, u64) = match &e.kind {
-            EventKind::GuardHit { ds, .. }
-            | EventKind::GuardMiss { ds, .. }
-            | EventKind::Eviction { ds, .. }
-            | EventKind::PrefetchIssue { ds, .. }
-            | EventKind::PrefetchConfirm { ds, .. }
-            | EventKind::Retry { ds, .. }
-            | EventKind::NetAbort { ds, .. }
-            | EventKind::Breaker { ds, .. }
-            | EventKind::JournalReplay { ds, .. }
-            | EventKind::Demotion { ds }
-            | EventKind::DsRegister { ds, .. }
-            | EventKind::DsAlloc { ds, .. }
-            | EventKind::Free { ds, .. }
-            | EventKind::PolicyDecision { ds, .. }
-            | EventKind::Spill { ds, .. }
-            | EventKind::HintDemoted { ds, .. }
-            | EventKind::HintPromoted { ds, .. } => (*ds as u32 + 1, 0),
-            EventKind::Fetch { ds, cycles, .. } | EventKind::Writeback { ds, cycles, .. } => {
-                (*ds as u32 + 1, *cycles)
+    json::object(|o| {
+        o.field("displayTimeUnit", "ms").arr("traceEvents", |a| {
+            track(a, 0, "runtime");
+            for h in 0..rt.ds_count() as u16 {
+                let Some(spec) = rt.ds_spec(h) else { continue };
+                track(a, h as u32 + 1, &format!("ds{h} {}", spec.name));
             }
-            _ => (0, 0),
-        };
-        let mut args = String::new();
-        event_fields(&mut args, &e.kind);
-        let ev = if dur > 0 {
-            // Complete (duration) event, placed so it *ends* at the stamp.
-            format!(
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{dur},\"name\":\"{}\",\"args\":{{{args}}}}}",
-                e.cycle.saturating_sub(dur),
-                e.kind.name()
-            )
-        } else {
-            format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"name\":\"{}\",\"args\":{{{args}}}}}",
-                e.cycle,
-                e.kind.name()
-            )
-        };
-        push(&mut s, &mut first, ev);
-    }
-    s.push_str("]}");
-    s
+            for e in tel.events() {
+                let (tid, dur): (u32, u64) = match &e.kind {
+                    EventKind::GuardHit { ds, .. }
+                    | EventKind::GuardMiss { ds, .. }
+                    | EventKind::Eviction { ds, .. }
+                    | EventKind::PrefetchIssue { ds, .. }
+                    | EventKind::PrefetchConfirm { ds, .. }
+                    | EventKind::Retry { ds, .. }
+                    | EventKind::NetAbort { ds, .. }
+                    | EventKind::Breaker { ds, .. }
+                    | EventKind::JournalReplay { ds, .. }
+                    | EventKind::Demotion { ds }
+                    | EventKind::DsRegister { ds, .. }
+                    | EventKind::DsAlloc { ds, .. }
+                    | EventKind::Free { ds, .. }
+                    | EventKind::PolicyDecision { ds, .. }
+                    | EventKind::Spill { ds, .. }
+                    | EventKind::HintDemoted { ds, .. }
+                    | EventKind::HintPromoted { ds, .. } => (*ds as u32 + 1, 0),
+                    EventKind::Fetch { ds, cycles, .. }
+                    | EventKind::Writeback { ds, cycles, .. } => (*ds as u32 + 1, *cycles),
+                    _ => (0, 0),
+                };
+                a.obj(|o| {
+                    if dur > 0 {
+                        // Complete (duration) event, placed so it *ends*
+                        // at the stamp.
+                        o.field("ph", "X")
+                            .field("pid", 1u32)
+                            .field("tid", tid)
+                            .field("ts", e.cycle.saturating_sub(dur))
+                            .field("dur", dur);
+                    } else {
+                        o.field("ph", "i")
+                            .field("s", "t")
+                            .field("pid", 1u32)
+                            .field("tid", tid)
+                            .field("ts", e.cycle);
+                    }
+                    o.field("name", e.kind.name())
+                        .obj("args", |o| event_fields(o, &e.kind));
+                });
+            }
+        });
+    })
 }
 
 #[cfg(test)]
@@ -1173,8 +999,8 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), u64::MAX);
-        assert_eq!(h.sum, u64::MAX); // saturated, not wrapped
-                                     // single-value histogram: clamping to observed min makes p50 exact
+        assert_eq!(h.sum(), u64::MAX); // saturated, not wrapped
+                                       // single-value histogram: clamping to observed min makes p50 exact
         assert_eq!(h.p50(), u64::MAX);
     }
 
@@ -1284,8 +1110,9 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        let mut s = String::new();
-        json_str(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        let s = json::object(|o| {
+            o.field("why", "a\"b\\c\nd\u{1}");
+        });
+        assert_eq!(s, "{\"why\":\"a\\\"b\\\\c\\nd\\u0001\"}");
     }
 }

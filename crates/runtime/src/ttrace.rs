@@ -33,9 +33,8 @@
 
 use std::collections::VecDeque;
 
-use cards_net::TraceContext;
-
-use crate::telemetry::Histogram;
+use cards_net::json::Obj;
+use cards_net::{Histogram, TraceContext};
 
 /// Tracing knobs, carried inside
 /// [`RuntimeConfig`](crate::config::RuntimeConfig).
@@ -775,76 +774,49 @@ impl Tracer {
     }
 }
 
-// ---- JSON fragments (shared by the VM exporter and the CLI) ----
+// ---- JSON fragments (shared by the VM's trace and flight exporters) ----
 
-/// Append one span tree as deterministic JSON.
-pub fn tree_json(out: &mut String, t: &TraceTree) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{{\"trace\":{},\"start\":{},\"site\":",
-        t.trace, t.start
-    );
-    match t.site {
-        Some(s) => {
-            let _ = write!(out, "{s}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"spans\":[");
-    for (i, s) in t.spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"id\":{i},\"parent\":");
-        match s.parent {
-            Some(p) => {
-                let _ = write!(out, "{p}");
+/// One span tree as object members.
+pub fn tree_fields(o: &mut Obj<'_>, t: &TraceTree) {
+    o.field("trace", t.trace)
+        .field("start", t.start)
+        .field("site", t.site)
+        .arr("spans", |a| {
+            for (i, s) in t.spans.iter().enumerate() {
+                a.obj(|o| {
+                    o.field("id", i)
+                        .field("parent", s.parent)
+                        .field("kind", s.kind.name())
+                        .field("ds", s.ds)
+                        .field("index", s.index)
+                        .field("cycles", s.cycles)
+                        .field("self", t.self_cycles(i as u32));
+                    if s.attempt > 0 {
+                        o.field("attempt", s.attempt);
+                    }
+                    if !s.detail.is_empty() {
+                        o.field("detail", s.detail);
+                    }
+                });
             }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"kind\":\"{}\",\"ds\":{},\"index\":{},\"cycles\":{},\"self\":{}",
-            s.kind.name(),
-            s.ds,
-            s.index,
-            s.cycles,
-            t.self_cycles(i as u32)
-        );
-        if s.attempt > 0 {
-            let _ = write!(out, ",\"attempt\":{}", s.attempt);
-        }
-        if !s.detail.is_empty() {
-            let _ = write!(out, ",\"detail\":\"{}\"", s.detail);
-        }
-        out.push('}');
-    }
-    out.push_str("],\"phases\":{");
-    for (i, (k, c)) in t.phase_breakdown().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{c}", k.name());
-    }
-    out.push_str("},\"critical_path\":[");
-    for (i, id) in t.critical_path().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{id}");
-    }
-    out.push_str("]}");
+        })
+        .obj("phases", |o| {
+            for (k, c) in t.phase_breakdown() {
+                o.field(k.name(), c);
+            }
+        })
+        .arr("critical_path", |a| {
+            for id in t.critical_path() {
+                a.item(id);
+            }
+        });
 }
 
-/// Append one trigger as JSON.
-pub fn trigger_json(out: &mut String, t: &TraceTrigger) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{{\"reason\":\"{}\",\"cycle\":{},\"trace\":{}}}",
-        t.reason, t.cycle, t.trace
-    );
+/// One trigger as object members.
+pub fn trigger_fields(o: &mut Obj<'_>, t: &TraceTrigger) {
+    o.field("reason", t.reason)
+        .field("cycle", t.cycle)
+        .field("trace", t.trace);
 }
 
 #[cfg(test)]
@@ -1071,15 +1043,13 @@ mod tests {
         t.end(40);
         t.op_end(60, 65);
         let tree = t.trees().next().unwrap();
-        let mut s = String::new();
-        tree_json(&mut s, tree);
+        let s = cards_net::json::object(|o| tree_fields(o, tree));
         assert!(s.starts_with("{\"trace\":1,\"start\":5,\"site\":3,"));
         assert!(s.contains("\"kind\":\"localize\""));
         assert!(s.contains("\"detail\":\"closed->open\""));
         // Zero-cycle kinds are filtered from the breakdown.
         assert!(s.contains("\"phases\":{\"guard\":20,\"wire\":40}"));
-        let mut s2 = String::new();
-        tree_json(&mut s2, tree);
+        let s2 = cards_net::json::object(|o| tree_fields(o, tree));
         assert_eq!(s, s2);
     }
 }

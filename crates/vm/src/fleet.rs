@@ -38,9 +38,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use cards_net::json::{self, Fixed, Obj};
 use cards_net::{
-    FailoverIncident, ServerSpan, ServerSpanLog, ShardGauges, ShardedClient, Transport, WireOp,
-    INCIDENT_PHASES,
+    FailoverIncident, Histogram, ServerSpan, ServerSpanLog, ShardGauges, ShardedClient, Transport,
+    WireOp, INCIDENT_PHASES,
 };
 use cards_runtime::{SpanKind, TraceTree};
 
@@ -246,9 +247,9 @@ pub fn check_fleet(report: &ServeReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Exact nearest-rank permille over a sorted slice (p999 needs finer
-/// grain than the percentile helper).
-fn permille(sorted: &[u64], p: u64) -> u64 {
+/// Exact nearest-rank quantile over a sorted slice, in permille
+/// (`permille(v, 990)` is the p99; p999 needs the finer grain).
+pub(crate) fn permille(sorted: &[u64], p: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -318,290 +319,218 @@ fn sampled_timelines(report: &ServeReport, top_n: usize) -> Vec<Timeline<'_>> {
     tls
 }
 
-/// The SLO object — availability plus per-request-class latency quantiles
-/// — as a JSON value. Shared by the `cards-fleet-v1` export and the
+/// The SLO object's members — availability plus per-request-class latency
+/// quantiles. Shared by the `cards-fleet-v1` export and the
 /// `BENCH_core.json` serving section. Fully deterministic: request
 /// latencies and their remote/local classification are pure functions of
 /// each worker's op sequence.
-pub fn slo_json(report: &ServeReport) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"availability\":{:.6},\"classes\":[",
-        availability(report)
-    );
-    for (i, (name, v)) in slo_classes(report).iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"class\":\"{}\",\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
-            name,
-            v.len(),
-            permille(v, 500),
-            permille(v, 990),
-            permille(v, 999)
-        );
-    }
-    s.push_str("]}");
-    s
+pub fn slo_fields(o: &mut Obj<'_>, report: &ServeReport) {
+    o.field("availability", Fixed(availability(report), 6))
+        .arr("classes", |a| {
+            for (name, v) in slo_classes(report).iter() {
+                a.obj(|o| {
+                    o.field("class", name)
+                        .field("count", v.len())
+                        .field("p50", permille(v, 500))
+                        .field("p99", permille(v, 990))
+                        .field("p999", permille(v, 999));
+                });
+            }
+        });
 }
 
-fn depth_hist_json(s: &mut String, h: &cards_net::DepthHist) {
-    let _ = write!(
-        s,
-        "{{\"count\":{},\"p50\":{},\"p99\":{}}}",
-        h.count(),
-        h.quantile(500),
-        h.quantile(990)
-    );
+/// A depth gauge's summary members.
+fn gauge_fields(o: &mut Obj<'_>, h: &Histogram) {
+    o.field("count", h.count())
+        .field("p50", h.p50())
+        .field("p99", h.p99());
 }
 
 /// Render the `cards-fleet-v1` export. Key order is fixed; `"counters"`
 /// (the only interleaving-dependent region) comes last so diff tooling
 /// can strip it with the same rule as `BENCH_core.json`.
 pub fn fleet_json(module_name: &str, spec: &ServeSpec, report: &ServeReport) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"cards-fleet-v1\",\"module\":\"{}\",\"workers\":{},\"shards\":{},\
-         \"replicas\":{},\"tenants\":{},\"ops_per_tenant\":{},\"requests\":{},\"issued\":{}",
-        module_name,
-        report.workers,
-        spec.net.shards,
-        spec.net.replica.replicas,
-        spec.tenants,
-        spec.ops_per_tenant,
-        report.ok,
-        report.issued
-    );
-
-    // SLO: availability plus per-request-class latency quantiles.
-    s.push_str(",\"slo\":");
-    s.push_str(&slo_json(report));
-
-    // Per-worker deterministic accounting.
-    s.push_str(",\"per_worker\":[");
-    for (i, w) in report.per_worker.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let f = &w.fleet;
-        let _ = write!(
-            s,
-            "{{\"worker\":{},\"requests\":{},\"issued\":{},\"serve_cycles\":{},\
-             \"remote_cycles\":{},\"server_span_cycles\":{},\"residue\":{},\"spans\":{},\
-             \"spans_dropped\":{},\"traced_remote_ops\":{},\"traced_local_ops\":{}",
-            w.worker,
-            w.requests,
-            w.issued,
-            w.serve_cycles,
-            f.net_cycles,
-            f.server.span_cycles(),
-            f.server.residue(),
-            f.server.spans().len(),
-            f.server.dropped(),
-            f.remote_ops,
-            f.local_ops
-        );
-        s.push_str(",\"phases\":{");
-        for (j, (kind, cycles)) in f.phases.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", kind.name(), cycles);
-        }
-        let _ = write!(
-            s,
-            "}},\"tap\":{{\"records\":{},\"dropped\":{},\"dropped_by_op\":{{",
-            f.tap_total, f.tap_dropped
-        );
-        for (j, op) in WireOp::ALL.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", op.name(), f.tap_dropped_by_op[op.idx()]);
-        }
-        s.push_str("}}}");
-    }
-    s.push(']');
-
-    // Per-shard gauges (merged across workers; deterministic).
-    s.push_str(",\"per_shard\":[");
-    for (i, (shard, g)) in merged_shards(report).iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"shard\":{},\"ops\":{},\"server_cycles\":{},\"queue_depth\":",
-            shard, g.ops, g.server_cycles
-        );
-        depth_hist_json(&mut s, &g.queue_depth);
-        s.push_str(",\"train_size\":");
-        depth_hist_json(&mut s, &g.train_size);
-        s.push('}');
-    }
-    s.push(']');
-
-    // Slowest sampled end-to-end timelines.
-    s.push_str(",\"timelines\":[");
-    for (i, tl) in sampled_timelines(report, 8).iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"worker\":{},\"trace\":{},\"start\":{},\"root\":\"{}\",\"cycles\":{},\
-             \"joined\":{}",
-            tl.worker,
-            tl.tree.trace,
-            tl.tree.start,
-            tl.tree.root().kind.name(),
-            tl.tree.root().cycles,
-            tl.joined
-        );
-        s.push_str(",\"phases\":{");
-        let mut first = true;
-        for (kind, cycles) in tl.tree.phase_breakdown() {
-            if cycles == 0 {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{}\":{}", kind.name(), cycles);
-        }
-        s.push_str("},\"groups\":[");
-        for (j, g) in tl.groups.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"span\":{},\"kind\":\"{}\",\"wire_cycles\":{},\"server\":[",
-                g.span,
-                g.kind.name(),
-                g.wire_cycles
-            );
-            for (k, sp) in g.server.iter().enumerate() {
-                if k > 0 {
-                    s.push(',');
+    json::object(|o| {
+        o.field("schema", "cards-fleet-v1")
+            .field("module", module_name)
+            .field("workers", report.workers)
+            .field("shards", spec.net.shards)
+            .field("replicas", spec.net.replica.replicas)
+            .field("tenants", spec.tenants)
+            .field("ops_per_tenant", spec.ops_per_tenant)
+            .field("requests", report.ok)
+            .field("issued", report.issued)
+            // SLO: availability plus per-request-class latency quantiles.
+            .obj("slo", |o| slo_fields(o, report))
+            // Per-worker deterministic accounting.
+            .arr("per_worker", |a| {
+                for w in &report.per_worker {
+                    let f = &w.fleet;
+                    a.obj(|o| {
+                        o.field("worker", w.worker)
+                            .field("requests", w.requests)
+                            .field("issued", w.issued)
+                            .field("serve_cycles", w.serve_cycles)
+                            .field("remote_cycles", f.net_cycles)
+                            .field("server_span_cycles", f.server.span_cycles())
+                            .field("residue", f.server.residue())
+                            .field("spans", f.server.spans().len())
+                            .field("spans_dropped", f.server.dropped())
+                            .field("traced_remote_ops", f.remote_ops)
+                            .field("traced_local_ops", f.local_ops)
+                            .obj("phases", |o| {
+                                for (kind, cycles) in &f.phases {
+                                    o.field(kind.name(), cycles);
+                                }
+                            })
+                            .obj("tap", |o| {
+                                o.field("records", f.tap_total)
+                                    .field("dropped", f.tap_dropped)
+                                    .obj("dropped_by_op", |o| {
+                                        for op in WireOp::ALL {
+                                            o.field(op.name(), f.tap_dropped_by_op[op.idx()]);
+                                        }
+                                    });
+                            });
+                    });
                 }
-                let _ = write!(
-                    s,
-                    "{{\"kind\":\"{}\",\"shard\":{},\"cycles\":{},\"bytes\":{},\"depth\":{}}}",
-                    sp.kind.name(),
-                    sp.shard,
-                    sp.cycles,
-                    sp.bytes,
-                    sp.depth
-                );
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-    }
-    s.push(']');
-
-    // Failover incidents (client-recorded on the modeled clock; empty on
-    // fault-free runs, so byte-identity holds where it is asserted).
-    s.push_str(",\"incidents\":[");
-    let mut first = true;
-    for w in &report.per_worker {
-        for inc in &w.fleet.incidents {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(
-                s,
-                "{{\"worker\":{},\"shard\":{},\"fence\":{},\"from\":{},\"to\":{},\
-                 \"at_cycles\":{},\"trace\":{},\"phases\":[",
-                w.worker, inc.shard, inc.fence, inc.from, inc.to, inc.at_cycles, inc.trace
-            );
-            for (i, p) in INCIDENT_PHASES.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
+            })
+            // Per-shard gauges (merged across workers; deterministic).
+            .arr("per_shard", |a| {
+                for (shard, g) in &merged_shards(report) {
+                    a.obj(|o| {
+                        o.field("shard", shard)
+                            .field("ops", g.ops)
+                            .field("server_cycles", g.server_cycles)
+                            .obj("queue_depth", |o| gauge_fields(o, &g.queue_depth))
+                            .obj("train_size", |o| gauge_fields(o, &g.train_size));
+                    });
                 }
-                let _ = write!(s, "\"{}\"", p);
-            }
-            s.push_str("]}");
-        }
-    }
-    s.push(']');
+            })
+            // Slowest sampled end-to-end timelines.
+            .arr("timelines", |a| {
+                for tl in &sampled_timelines(report, 8) {
+                    a.obj(|o| timeline_fields(o, tl));
+                }
+            })
+            // Failover incidents (client-recorded on the modeled clock;
+            // empty on fault-free runs, so byte-identity holds where it is
+            // asserted).
+            .arr("incidents", |a| {
+                for w in &report.per_worker {
+                    for inc in &w.fleet.incidents {
+                        a.obj(|o| {
+                            o.field("worker", w.worker)
+                                .field("shard", inc.shard)
+                                .field("fence", inc.fence)
+                                .field("from", inc.from)
+                                .field("to", inc.to)
+                                .field("at_cycles", inc.at_cycles)
+                                .field("trace", inc.trace)
+                                .arr("phases", |a| {
+                                    for p in INCIDENT_PHASES {
+                                        a.item(p);
+                                    }
+                                });
+                        });
+                    }
+                }
+            })
+            // Interleaving-dependent region, last key: shared tier
+            // counters, the fleet event ring, per-worker resilience
+            // counters. Strip before byte-comparing runs.
+            .obj("counters", |o| counters_fields(o, report));
+    })
+}
 
-    // Interleaving-dependent region, last key: shared tier counters, the
-    // fleet event ring, per-worker resilience counters. Strip before
-    // byte-comparing runs.
+/// One sampled timeline's members: the root, its non-zero phases, and
+/// every joined group with its server spans.
+fn timeline_fields(o: &mut Obj<'_>, tl: &Timeline<'_>) {
+    o.field("worker", tl.worker)
+        .field("trace", tl.tree.trace)
+        .field("start", tl.tree.start)
+        .field("root", tl.tree.root().kind.name())
+        .field("cycles", tl.tree.root().cycles)
+        .field("joined", tl.joined)
+        .obj("phases", |o| {
+            for (kind, cycles) in tl.tree.phase_breakdown() {
+                if cycles > 0 {
+                    o.field(kind.name(), cycles);
+                }
+            }
+        })
+        .arr("groups", |a| {
+            for g in &tl.groups {
+                a.obj(|o| {
+                    o.field("span", g.span)
+                        .field("kind", g.kind.name())
+                        .field("wire_cycles", g.wire_cycles)
+                        .arr("server", |a| {
+                            for sp in &g.server {
+                                a.obj(|o| {
+                                    o.field("kind", sp.kind.name())
+                                        .field("shard", sp.shard)
+                                        .field("cycles", sp.cycles)
+                                        .field("bytes", sp.bytes)
+                                        .field("depth", sp.depth);
+                                });
+                            }
+                        });
+                });
+            }
+        });
+}
+
+/// The interleaving-dependent `"counters"` members.
+fn counters_fields(o: &mut Obj<'_>, report: &ServeReport) {
     let n = &report.net;
-    let _ = write!(
-        s,
-        ",\"counters\":{{\"net\":{{\"coalesced_hits\":{},\"wire_fetches\":{},\"trains\":{},\
-         \"train_objects\":{},\"crashes\":{},\"dropped_objects\":{},\"failovers\":{},\
-         \"failover_attempts\":{},\"fenced_writes\":{},\"fenced_ships\":{},\
-         \"hedged_fetches\":{},\"hedge_wasted\":{},\"shipped_epochs\":{}}}",
-        n.coalesced_hits,
-        n.wire_fetches,
-        n.trains,
-        n.train_objects,
-        n.crashes,
-        n.dropped_objects,
-        n.failovers,
-        n.failover_attempts,
-        n.fenced_writes,
-        n.fenced_ships,
-        n.hedged_fetches,
-        n.hedge_wasted,
-        n.shipped_epochs
-    );
     let ev = &report.fleet_events;
-    let _ = write!(
-        s,
-        ",\"events\":{{\"total\":{},\"dropped\":{},\"per_shard\":[",
-        ev.total, ev.dropped
-    );
-    for (i, (shard, e)) in ev.per_shard.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+    o.obj("net", |o| {
+        o.field("coalesced_hits", n.coalesced_hits)
+            .field("wire_fetches", n.wire_fetches)
+            .field("trains", n.trains)
+            .field("train_objects", n.train_objects)
+            .field("crashes", n.crashes)
+            .field("dropped_objects", n.dropped_objects)
+            .field("failovers", n.failovers)
+            .field("failover_attempts", n.failover_attempts)
+            .field("fenced_writes", n.fenced_writes)
+            .field("fenced_ships", n.fenced_ships)
+            .field("hedged_fetches", n.hedged_fetches)
+            .field("hedge_wasted", n.hedge_wasted)
+            .field("shipped_epochs", n.shipped_epochs);
+    })
+    .obj("events", |o| {
+        o.field("total", ev.total)
+            .field("dropped", ev.dropped)
+            .arr("per_shard", |a| {
+                for (shard, e) in &ev.per_shard {
+                    a.obj(|o| {
+                        o.field("shard", shard)
+                            .field("journal_ships", e.journal_ships)
+                            .field("flush_barriers", e.flush_barriers)
+                            .field("fence_rejects", e.fence_rejects)
+                            .field("takeover_drains", e.takeover_drains)
+                            .field("coalesce_joins", e.coalesce_joins)
+                            .field("hedge_wins", e.hedge_wins)
+                            .field("hedge_wastes", e.hedge_wastes);
+                    });
+                }
+            });
+    })
+    .arr("resilience", |a| {
+        for w in &report.per_worker {
+            a.obj(|o| {
+                o.field("worker", w.worker)
+                    .field("failovers", w.failovers)
+                    .field("hedged", w.hedged_fetches)
+                    .field("hedge_wasted", w.hedge_wasted)
+                    .field("fenced_retries", w.fenced_retries)
+                    .field("queue_buildup", w.queue_buildup_events)
+                    .field("lag_breaches", w.lag_breaches);
+            });
         }
-        let _ = write!(
-            s,
-            "{{\"shard\":{},\"journal_ships\":{},\"flush_barriers\":{},\"fence_rejects\":{},\
-             \"takeover_drains\":{},\"coalesce_joins\":{},\"hedge_wins\":{},\"hedge_wastes\":{}}}",
-            shard,
-            e.journal_ships,
-            e.flush_barriers,
-            e.fence_rejects,
-            e.takeover_drains,
-            e.coalesce_joins,
-            e.hedge_wins,
-            e.hedge_wastes
-        );
-    }
-    s.push_str("]}");
-    s.push_str(",\"resilience\":[");
-    for (i, w) in report.per_worker.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"worker\":{},\"failovers\":{},\"hedged\":{},\"hedge_wasted\":{},\
-             \"fenced_retries\":{},\"queue_buildup\":{},\"lag_breaches\":{}}}",
-            w.worker,
-            w.failovers,
-            w.hedged_fetches,
-            w.hedge_wasted,
-            w.fenced_retries,
-            w.queue_buildup_events,
-            w.lag_breaches
-        );
-    }
-    s.push_str("]}}");
-    s
+    });
 }
 
 /// Render the human-readable cluster report behind `cards fleet`.
@@ -640,10 +569,10 @@ pub fn render_fleet_report(module_name: &str, spec: &ServeSpec, report: &ServeRe
             shard,
             g.ops,
             g.server_cycles,
-            g.queue_depth.quantile(500),
-            g.queue_depth.quantile(990),
-            g.train_size.quantile(500),
-            g.train_size.quantile(990)
+            g.queue_depth.p50(),
+            g.queue_depth.p99(),
+            g.train_size.p50(),
+            g.train_size.p99()
         );
     }
     s.push_str("per-worker:\n");

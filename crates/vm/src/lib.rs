@@ -19,7 +19,7 @@ pub mod worker;
 pub use failover::{run_failover_campaign, CampaignReport, CellReport, Phase};
 pub use fleet::{
     check_fleet, check_worker, extract_fleet, fleet_json, join_worker, render_fleet_report,
-    slo_json, JoinGroup, Timeline, WorkerFleet,
+    slo_fields, JoinGroup, Timeline, WorkerFleet,
 };
 pub use interp::{spec_from_meta, splitmix64, Vm, VmError};
 pub use metrics::{CpuModel, VmMetrics};

@@ -22,8 +22,9 @@
 use std::fmt::Write as _;
 
 use cards_ir::{DsMetaId, Site, SiteKind};
+use cards_net::json::{self, Fixed};
 use cards_net::Transport;
-use cards_runtime::telemetry::site_counters_json;
+use cards_runtime::telemetry::site_counters_fields;
 use cards_runtime::SiteCounters;
 
 use crate::interp::Vm;
@@ -262,70 +263,57 @@ pub fn profile_folded<T: Transport>(vm: &Vm<T>) -> String {
 /// the table appears (inactive ones with zero counters), so consumers can
 /// audit elided/never-executed sites too.
 pub fn profile_json<T: Transport>(vm: &Vm<T>) -> String {
-    let mut s = String::new();
     let module = vm.module();
     let prof = vm.runtime().profiler();
-    let _ = write!(
-        s,
-        "{{\"module\":\"{}\",\"cycles\":{},\"sites\":[",
-        module.name,
-        vm.metrics().cycles
-    );
-    for (i, site) in module.sites.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"site\":{},\"kind\":\"{}\",\"func\":\"{}\",\"block\":\"{}\",\"ds\":{},\"ds_name\":\"{}\",\"access\":\"{}\",\"covered_by\":{},\"counters\":",
-            site.id.0,
-            site.kind.name(),
-            site.func_name,
-            site.block_name,
-            site.ds.map(|d| d.0 as i64).unwrap_or(-1),
-            ds_name(vm, site.ds),
-            access_str(site),
-            site.covered_by
-                .map(|c| c.0.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-        );
-        site_counters_json(&mut s, &prof.site(site.id.0));
-        s.push('}');
-    }
-    s.push_str("],\"unattributed\":");
-    site_counters_json(&mut s, prof.unattributed());
-    s.push_str(",\"ds\":[");
-    let mut first = true;
-    for site in module.sites.iter() {
-        // per-DS prefetch precision/recall for every DS a prefetch point
-        // was attached to (deduplicated, in site order)
-        let (SiteKind::PrefetchPoint, Some(meta)) = (site.kind, site.ds) else {
-            continue;
-        };
-        let Some(h) = handle_of_meta(vm, meta) else {
-            continue;
-        };
-        let Some(st) = vm.runtime().ds_stats(h) else {
-            continue;
-        };
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let _ = write!(
-            s,
-            "{{\"handle\":{},\"meta\":{},\"name\":\"{}\",\"prefetch_issued\":{},\"prefetch_useful\":{},\"precision\":{:.4},\"recall\":{:.4}}}",
-            h,
-            meta.0,
-            ds_name(vm, Some(meta)),
-            st.prefetch_issued,
-            st.prefetch_useful,
-            st.prefetch_accuracy(),
-            st.prefetch_coverage()
-        );
-    }
-    s.push_str("]}");
-    s
+    json::object(|o| {
+        o.field("module", &module.name)
+            .field("cycles", vm.metrics().cycles)
+            .arr("sites", |a| {
+                for site in module.sites.iter() {
+                    a.obj(|o| {
+                        o.field("site", site.id.0)
+                            .field("kind", site.kind.name())
+                            .field("func", &site.func_name)
+                            .field("block", &site.block_name)
+                            .field("ds", site.ds.map_or(-1, |d| d.0 as i64))
+                            .field("ds_name", ds_name(vm, site.ds))
+                            .field("access", access_str(site))
+                            .field("covered_by", site.covered_by.map(|c| c.0))
+                            .obj("counters", |o| {
+                                site_counters_fields(o, &prof.site(site.id.0))
+                            });
+                    });
+                }
+            })
+            .obj("unattributed", |o| {
+                site_counters_fields(o, prof.unattributed())
+            })
+            .arr("ds", |a| {
+                for site in module.sites.iter() {
+                    // per-DS prefetch precision/recall for every DS a
+                    // prefetch point was attached to (deduplicated, in
+                    // site order)
+                    let (SiteKind::PrefetchPoint, Some(meta)) = (site.kind, site.ds) else {
+                        continue;
+                    };
+                    let Some(h) = handle_of_meta(vm, meta) else {
+                        continue;
+                    };
+                    let Some(st) = vm.runtime().ds_stats(h) else {
+                        continue;
+                    };
+                    a.obj(|o| {
+                        o.field("handle", h)
+                            .field("meta", meta.0)
+                            .field("name", ds_name(vm, Some(meta)))
+                            .field("prefetch_issued", st.prefetch_issued)
+                            .field("prefetch_useful", st.prefetch_useful)
+                            .field("precision", Fixed(st.prefetch_accuracy(), 4))
+                            .field("recall", Fixed(st.prefetch_coverage(), 4));
+                    });
+                }
+            });
+    })
 }
 
 /// The attribution cross-sum invariant: summed over every site plus the

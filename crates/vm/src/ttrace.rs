@@ -20,8 +20,8 @@
 
 use std::fmt::Write as _;
 
-use cards_net::Transport;
-use cards_runtime::ttrace::{tree_json, trigger_json};
+use cards_net::{json, Transport};
+use cards_runtime::ttrace::{tree_fields, trigger_fields};
 use cards_runtime::{TraceTree, Tracer};
 
 use crate::interp::Vm;
@@ -210,93 +210,72 @@ pub fn render_ttrace_report<T: Transport>(vm: &Vm<T>, top_n: usize) -> String {
 /// diff field-by-field; `sites` joins the cumulative per-site totals with
 /// the module's static site context; `trees` is the retained ring.
 pub fn ttrace_json<T: Transport>(vm: &Vm<T>) -> String {
-    let mut s = String::new();
     let module = vm.module();
     let tr = vm.runtime().tracer();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"cards-ttrace-v1\",\"module\":\"{}\",\"cycles\":{},",
-        module.name,
-        vm.metrics().cycles
-    );
-    let _ = write!(
-        s,
-        "\"ops\":{{\"remote\":{},\"local\":{},\"abandoned\":{}}},",
-        tr.remote_ops(),
-        tr.local_ops(),
-        tr.abandoned_ops()
-    );
     let base = tr.baseline();
-    let _ = write!(
-        s,
-        "\"baseline\":{{\"count\":{},\"p50\":{},\"p99\":{}}},",
-        base.count(),
-        base.p50(),
-        base.p99()
-    );
-    s.push_str("\"phases\":{");
-    for (i, (kind, cycles)) in tr.phase_totals().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\":{}", kind.name(), cycles);
-    }
-    s.push_str("},\"sites\":[");
-    for (i, (sid, ops, cycles)) in tr.site_totals().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let site = module.sites.site(cards_ir::SiteId(sid));
-        let _ = write!(
-            s,
-            "{{\"site\":{},\"func\":\"{}\",\"block\":\"{}\",\"ops\":{},\"cycles\":{}}}",
-            sid, site.func_name, site.block_name, ops, cycles
-        );
-    }
     let (uops, ucycles) = tr.unsited();
-    let _ = write!(
-        s,
-        "],\"unsited\":{{\"ops\":{uops},\"cycles\":{ucycles}}},\"trees\":["
-    );
-    for (i, t) in tr.trees().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        tree_json(&mut s, t);
-    }
-    s.push_str("],\"triggers\":[");
-    for (i, t) in tr.triggers().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        trigger_json(&mut s, t);
-    }
-    s.push_str("]}");
-    s
+    json::object(|o| {
+        o.field("schema", "cards-ttrace-v1")
+            .field("module", &module.name)
+            .field("cycles", vm.metrics().cycles)
+            .obj("ops", |o| {
+                o.field("remote", tr.remote_ops())
+                    .field("local", tr.local_ops())
+                    .field("abandoned", tr.abandoned_ops());
+            })
+            .obj("baseline", |o| {
+                o.field("count", base.count())
+                    .field("p50", base.p50())
+                    .field("p99", base.p99());
+            })
+            .obj("phases", |o| {
+                for (kind, cycles) in tr.phase_totals() {
+                    o.field(kind.name(), cycles);
+                }
+            })
+            .arr("sites", |a| {
+                for (sid, ops, cycles) in tr.site_totals() {
+                    let site = module.sites.site(cards_ir::SiteId(sid));
+                    a.obj(|o| {
+                        o.field("site", sid)
+                            .field("func", &site.func_name)
+                            .field("block", &site.block_name)
+                            .field("ops", ops)
+                            .field("cycles", cycles);
+                    });
+                }
+            })
+            .obj("unsited", |o| {
+                o.field("ops", uops).field("cycles", ucycles);
+            })
+            .arr("trees", |a| {
+                for t in tr.trees() {
+                    a.obj(|o| tree_fields(o, t));
+                }
+            })
+            .arr("triggers", |a| {
+                for t in tr.triggers() {
+                    a.obj(|o| trigger_fields(o, t));
+                }
+            });
+    })
 }
 
 /// One flight-recorder snapshot as JSON (schema `cards-flight-v1`): the
 /// trigger that fired plus the ring of recent span trees at that instant.
 /// This is the payload `cards ttrace` writes to `FLIGHT_<n>.json`.
 pub fn flight_json<T: Transport>(vm: &Vm<T>, snapshot: usize) -> Option<String> {
-    let tr = vm.runtime().tracer();
-    let snap = tr.snapshots().get(snapshot)?;
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"cards-flight-v1\",\"module\":\"{}\",\"trigger\":",
-        vm.module().name
-    );
-    trigger_json(&mut s, &snap.trigger);
-    s.push_str(",\"trees\":[");
-    for (i, t) in snap.trees.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        tree_json(&mut s, t);
-    }
-    s.push_str("]}");
-    Some(s)
+    let snap = vm.runtime().tracer().snapshots().get(snapshot)?;
+    Some(json::object(|o| {
+        o.field("schema", "cards-flight-v1")
+            .field("module", &vm.module().name)
+            .obj("trigger", |o| trigger_fields(o, &snap.trigger))
+            .arr("trees", |a| {
+                for t in &snap.trees {
+                    a.obj(|o| tree_fields(o, t));
+                }
+            });
+    }))
 }
 
 /// Structural invariants over every retained tree: valid parent indices,

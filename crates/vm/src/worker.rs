@@ -28,7 +28,7 @@ use cards_ir::Module;
 use cards_net::{FleetEventSummary, NetworkModel, ShardedConfig, ShardedServer, ShardedStats};
 use cards_runtime::{RemotingPolicy, RuntimeConfig};
 
-use crate::fleet::{extract_fleet, WorkerFleet};
+use crate::fleet::{extract_fleet, permille, WorkerFleet};
 use crate::interp::Vm;
 
 /// Shape of a concurrent serving run.
@@ -186,15 +186,6 @@ pub struct SerialReport {
     pub digest: BTreeMap<u32, u64>,
 }
 
-/// Exact nearest-rank percentile over a sorted slice.
-fn percentile(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = (p * (sorted.len() as u64 - 1)) / 100;
-    sorted[idx as usize]
-}
-
 /// Run the serving workload concurrently: spawn `spec.workers` VMs over
 /// one sharded server, serve every tenant's session, then drain, quiesce,
 /// and digest. `module` must be a *split* build (host-callable `setup` and
@@ -268,11 +259,12 @@ fn wait_served(
     }
 }
 
-/// The fault controller: applies each scripted fault once the tier-wide
-/// issued-request counter crosses its threshold, then raises `gate` to the
-/// next fault's threshold. Stalls are held for their scripted span (with a
-/// real-time escape hatch so a fully blocked tier can never deadlock the
-/// harness) and always released here.
+/// The fault controller: waits at the serve barrier with the workers, so
+/// no fault lands during setup; then applies each scripted fault once the
+/// tier-wide issued-request counter crosses its threshold, and raises
+/// `gate` to the next fault's threshold. Stalls are held for their
+/// scripted span (with a real-time escape hatch so a fully blocked tier
+/// can never deadlock the harness) and always released here.
 fn drive_faults(
     server: &ShardedServer,
     script: &[ScriptedFault],
@@ -280,11 +272,13 @@ fn drive_faults(
     gate: &AtomicU64,
     finished: &AtomicUsize,
     workers: usize,
+    serve_gate: &Barrier,
 ) {
     // A stalled tier with no health timeout stops issuing requests, so
     // every hold also carries a wall-clock bound.
     const STALL_ESCAPE: Duration = Duration::from_secs(5);
     let _open = OpenOnDrop(gate);
+    serve_gate.wait();
     for (i, f) in script.iter().enumerate() {
         wait_served(served, finished, workers, f.after_requests, None);
         // Holds below need requests flowing, so they ungate first.
@@ -371,12 +365,16 @@ pub fn run_serving_with_faults(
     // content; the barrier then keeps the GET-only serve phase from
     // reading the tier while a later setup is rewriting it.
     let setup_lock = Mutex::new(());
-    let serve_gate = Barrier::new(workers);
+    // The fault controller, when there is one, waits at the barrier too.
+    let serve_gate = Barrier::new(workers + usize::from(tolerate));
 
     let mut reports: Vec<WorkerReport> = thread::scope(|scope| {
         if tolerate {
-            let (server, served, gate, finished) = (&server, &served, &gate, &finished);
-            scope.spawn(move || drive_faults(server, script, served, gate, finished, workers));
+            let (server, served, gate) = (&server, &served, &gate);
+            let (finished, serve_gate) = (&finished, &serve_gate);
+            scope.spawn(move || {
+                drive_faults(server, script, served, gate, finished, workers, serve_gate)
+            });
         }
         let mut handles = Vec::with_capacity(workers);
         for (w, client) in clients.into_iter().enumerate() {
@@ -491,8 +489,8 @@ pub fn run_serving_with_faults(
         instructions: reports.iter().map(|r| r.serve_instructions).sum(),
         makespan_cycles: reports.iter().map(|r| r.serve_cycles).max().unwrap_or(0),
         checksum: reports.iter().fold(0i64, |a, r| a.wrapping_add(r.checksum)),
-        p50_cycles: percentile(&all, 50),
-        p99_cycles: percentile(&all, 99),
+        p50_cycles: permille(&all, 500),
+        p99_cycles: permille(&all, 990),
         digest,
         net,
         fleet_events,
@@ -717,11 +715,13 @@ mod tests {
 
     #[test]
     fn percentile_is_exact_nearest_rank() {
+        // The report's p50/p99 are `permille` at 500/990: the same exact
+        // nearest rank a percentile helper gives at 50/99.
         let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 50), 50);
-        assert_eq!(percentile(&v, 99), 99);
-        assert_eq!(percentile(&v, 0), 1);
-        assert_eq!(percentile(&v, 100), 100);
-        assert_eq!(percentile(&[], 50), 0);
+        assert_eq!(permille(&v, 500), 50);
+        assert_eq!(permille(&v, 990), 99);
+        assert_eq!(permille(&v, 0), 1);
+        assert_eq!(permille(&v, 1000), 100);
+        assert_eq!(permille(&[], 500), 0);
     }
 }
