@@ -4,8 +4,10 @@
 //! profile document answers *which compiler decision moved*, this one
 //! tracks the headline numbers CI charts across commits — per-workload
 //! modeled instruction throughput, remote cycles, and guard-latency
-//! percentiles. The schema is versioned (`cards-bench-core-v1`) and the
-//! runs are fully deterministic: same build, same bytes.
+//! percentiles. The schema is versioned (`cards-bench-core-v2`; v2 renamed
+//! `instructions_per_sec` to `modeled_instructions_per_sec`, a throughput
+//! on the modeled clock, not the host's) and the runs are fully
+//! deterministic: same build, same bytes.
 
 use cards_net::json::{self, Fixed, Obj};
 use cards_net::{NetworkModel, ShardedConfig, SimTransport};
@@ -18,15 +20,16 @@ use cards_workloads::serving;
 use crate::profile::{run_starved, workload_modules};
 
 /// Schema tag embedded in the document; bump when the layout changes.
-pub const SCHEMA: &str = "cards-bench-core-v1";
+pub const SCHEMA: &str = "cards-bench-core-v2";
 
 /// The modeled CPU frequency used to express cycle counts as
 /// instructions/sec (DESIGN.md §5.6: 3 GHz nominal clock).
 pub const MODELED_HZ: u64 = 3_000_000_000;
 
 /// Modeled instructions/sec: `instructions * MODELED_HZ / cycles`,
-/// computed in u128 so large runs cannot overflow.
-fn instructions_per_sec(instructions: u64, cycles: u64) -> u64 {
+/// computed in u128 so large runs cannot overflow. Host time does not
+/// enter it.
+fn modeled_instructions_per_sec(instructions: u64, cycles: u64) -> u64 {
     (instructions as u128 * MODELED_HZ as u128 / cycles.max(1) as u128) as u64
 }
 
@@ -62,8 +65,8 @@ fn workload_fields(o: &mut Obj<'_>, name: &str, vm: &Vm<SimTransport>) {
         .field("instructions", metrics.instructions)
         .field("cycles", metrics.cycles)
         .field(
-            "instructions_per_sec",
-            instructions_per_sec(metrics.instructions, metrics.cycles),
+            "modeled_instructions_per_sec",
+            modeled_instructions_per_sec(metrics.instructions, metrics.cycles),
         )
         .field("remote_cycles", remote_cycles)
         .obj("guard_latency", |o| {
@@ -122,8 +125,8 @@ fn serving_fields(o: &mut Obj<'_>, quick: bool) {
             .field("instructions", r.instructions)
             .field("makespan_cycles", r.makespan_cycles)
             .field(
-                "instructions_per_sec",
-                instructions_per_sec(r.instructions, r.makespan_cycles),
+                "modeled_instructions_per_sec",
+                modeled_instructions_per_sec(r.instructions, r.makespan_cycles),
             )
             .field("request_p50", r.p50_cycles)
             .field("request_p99", r.p99_cycles)
@@ -262,9 +265,9 @@ mod tests {
             strip_volatile(&b),
             "same build must emit identical bytes outside shared counters"
         );
-        assert!(a.contains("\"schema\":\"cards-bench-core-v1\""));
+        assert!(a.contains("\"schema\":\"cards-bench-core-v2\""));
         assert!(a.contains("\"name\":\"kvstore\""));
-        assert!(a.contains("\"instructions_per_sec\":"));
+        assert!(a.contains("\"modeled_instructions_per_sec\":"));
         assert!(a.contains("\"miss_p99\":"));
         assert!(a.contains("\"serving\":{\"workers\":4"));
         assert!(a.contains("\"request_p50\":"));
@@ -285,9 +288,9 @@ mod tests {
     #[test]
     fn throughput_math_uses_wide_arithmetic() {
         // A run big enough to overflow u64 multiplication must not panic.
-        let ips = instructions_per_sec(u64::MAX / 2, u64::MAX / 3);
+        let ips = modeled_instructions_per_sec(u64::MAX / 2, u64::MAX / 3);
         assert!(ips > 0);
-        assert_eq!(instructions_per_sec(300, 600), MODELED_HZ / 2);
-        assert_eq!(instructions_per_sec(1, 0), MODELED_HZ);
+        assert_eq!(modeled_instructions_per_sec(300, 600), MODELED_HZ / 2);
+        assert_eq!(modeled_instructions_per_sec(1, 0), MODELED_HZ);
     }
 }

@@ -527,6 +527,21 @@ impl Tracer {
         }
     }
 
+    /// Count an operation that completes without remote activity, exactly
+    /// as `op_begin` followed at once by `op_end` would: a dangling
+    /// operation is abandoned first, and no root is staged.
+    #[inline]
+    pub fn local_op(&mut self) {
+        if !self.cfg.enabled {
+            return;
+        }
+        if self.op_depth > 0 {
+            self.abandon();
+        }
+        self.skip_depth = 0;
+        self.local_ops += 1;
+    }
+
     /// Open a child span under the current operation. Materializes the
     /// pending root on first use. A `begin` with no operation active is
     /// swallowed (its matching `end` too).
@@ -835,6 +850,46 @@ mod tests {
         assert_eq!(t.local_ops(), 1);
         assert_eq!(t.remote_ops(), 0);
         assert_eq!(t.trees().count(), 0);
+    }
+
+    /// `local_op` is `op_begin` + `op_end` without staging a root, from
+    /// every state a tracer can be in between operations.
+    #[test]
+    fn local_op_matches_an_empty_operation() {
+        let counts = |t: &Tracer| (t.local_ops(), t.remote_ops(), t.abandoned_ops());
+        let states: [fn(&mut Tracer); 4] = [
+            |_| {},
+            // A staged root left dangling by an error.
+            |t| t.op_begin(SpanKind::Access, 1, 2, None, 5),
+            // A materialized tree left dangling by an error.
+            |t| {
+                t.op_begin(SpanKind::Guard, 1, 2, Some(3), 5);
+                t.begin(SpanKind::Localize, 1, 2);
+            },
+            // A `begin` outside any operation, whose `end` never came.
+            |t| t.begin(SpanKind::Spill, 1, 2),
+        ];
+        for cfg in [TraceConfig::default(), TraceConfig::disabled()] {
+            for setup in states {
+                let (mut a, mut b) = (Tracer::new(cfg), Tracer::new(cfg));
+                setup(&mut a);
+                setup(&mut b);
+                a.local_op();
+                b.op_begin(SpanKind::Access, 1, 2, None, 9);
+                b.op_end(0, 9);
+                assert_eq!(counts(&a), counts(&b));
+                // The next operation sees the same tracer either way.
+                for t in [&mut a, &mut b] {
+                    t.op_begin(SpanKind::Guard, 0, 1, None, 10);
+                    t.begin(SpanKind::Localize, 0, 1);
+                    t.leaf(SpanKind::Wire, 0, 1, 7, 0);
+                    t.end(7);
+                    t.op_end(9, 19);
+                }
+                assert_eq!(counts(&a), counts(&b));
+                assert_eq!(a.trees().collect::<Vec<_>>(), b.trees().collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

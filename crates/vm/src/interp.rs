@@ -8,8 +8,8 @@
 //!
 //! The VM executes far-memory extension instructions (`dsinit`, `dsalloc`,
 //! `guard`, `remotable`) literally, so guard counts, elisions and fast-path
-//! dispatches are *measured*, not estimated. It executes the decode-once
-//! form (`decode.rs`) built when the VM is constructed.
+//! dispatches are *measured*, not estimated. It executes the
+//! slot-operand form (`decode.rs`) built when the VM is constructed.
 
 use std::sync::Arc;
 
@@ -21,11 +21,13 @@ use cards_runtime::{
     StaticHint,
 };
 
-use crate::decode::{decode, DecodedFn, Edge, Op, Opnd};
+use crate::decode::{decode, DecodedFn, Op, Tally, Width};
 use crate::metrics::{CpuModel, VmMetrics};
 
 /// Base of the native address space (so null and small ints never alias).
 const NATIVE_BASE: u64 = 0x1_0000;
+/// End of the native address space: bit 48 up is the far-pointer tag.
+const NATIVE_LIMIT: u64 = 1 << cards_runtime::TAG_SHIFT;
 /// Encoded "address" of function `f` is `FUNC_BASE + f` (for indirect calls).
 pub(crate) const FUNC_BASE: u64 = 0x7000_0000_0000;
 
@@ -103,7 +105,7 @@ pub struct Vm<T: Transport> {
     registrations: Vec<u32>,
     metrics: VmMetrics,
     max_depth: usize,
-    /// The module in decode-once form, indexed by `FuncId` (shared so
+    /// The module in slot-operand form, indexed by `FuncId` (shared so
     /// execution can borrow it while mutating the VM).
     prog: Arc<[DecodedFn]>,
     /// Released call frames, reused by later calls.
@@ -174,7 +176,7 @@ impl<T: Transport> Vm<T> {
             phi_tmp: Vec::new(),
         };
         vm.layout_globals();
-        vm.prog = decode(&vm.module, &vm.global_addr).into();
+        vm.prog = decode(&vm.module, &vm.global_addr, &vm.cpu).into();
         vm
     }
 
@@ -183,9 +185,11 @@ impl<T: Transport> Vm<T> {
             let g = &self.module.globals[gi];
             let sz = self.module.types.size_of(g.ty).max(8);
             let init = g.init;
-            let addr = self.native_alloc(sz);
+            // A global too large for the native address space gets address
+            // 0, so every access to it fails with `NativeOob`.
+            let addr = self.native_alloc(sz).unwrap_or(0);
             self.global_addr.push(addr);
-            if let Some(v) = init {
+            if let Some(v) = init.filter(|_| addr != 0) {
                 let bits = match v {
                     Value::ConstInt(c) => c as u64,
                     Value::ConstFloat(b) => b,
@@ -199,10 +203,18 @@ impl<T: Transport> Vm<T> {
         }
     }
 
-    fn native_alloc(&mut self, size: u64) -> u64 {
+    /// Extend native memory by `size` bytes (at least one), 16-aligned. An
+    /// allocation that would end past the native address space (2^48,
+    /// where addresses read as tagged) fails and leaves memory untouched.
+    fn native_alloc(&mut self, size: u64) -> Result<u64, VmError> {
         let addr = (self.native.len() as u64 + 15) & !15;
-        self.native.resize((addr + size.max(1)) as usize, 0);
-        addr
+        match addr.checked_add(size.max(1)) {
+            Some(end) if end <= NATIVE_LIMIT => {
+                self.native.resize(end as usize, 0);
+                Ok(addr)
+            }
+            _ => Err(VmError::NativeOob { addr, bytes: size }),
+        }
     }
 
     /// Run function `name` with integer arguments. Returns its result bits.
@@ -269,13 +281,33 @@ impl<T: Transport> Vm<T> {
         self.metrics.cycles += c;
     }
 
-    /// A zeroed frame for `f` (reusing a released one when there is one)
-    /// with its parameter slots taken from `args`; surplus arguments are
-    /// dropped and missing ones read as 0.
+    /// Charge a block's (or an edge's) tally on entry.
+    fn enter(&mut self, t: &Tally) {
+        let m = &mut self.metrics;
+        m.instructions += t.instructions;
+        m.cycles += t.cycles;
+        m.loads += t.loads;
+        m.stores += t.stores;
+    }
+
+    /// Take back what a block tally charged for ops that never ran.
+    fn take_back(&mut self, t: &Tally) {
+        let m = &mut self.metrics;
+        m.instructions -= t.instructions;
+        m.cycles -= t.cycles;
+        m.loads -= t.loads;
+        m.stores -= t.stores;
+    }
+
+    /// A frame for `f` (reusing a released one when there is one): zeroed
+    /// locals with the parameter slots taken from `args`, then the
+    /// constant tail. Surplus arguments are dropped and missing ones read
+    /// as 0.
     fn new_frame(&mut self, f: &DecodedFn, args: impl Iterator<Item = u64>) -> Vec<u64> {
         let mut frame = self.frames.pop().unwrap_or_default();
         frame.clear();
-        frame.resize(f.nslots, 0);
+        frame.resize(f.nlocals, 0);
+        frame.extend_from_slice(&f.consts);
         for (slot, a) in frame.iter_mut().zip(args.take(f.nargs)) {
             *slot = a;
         }
@@ -303,17 +335,17 @@ impl<T: Transport> Vm<T> {
         r
     }
 
-    /// Evaluate call arguments from the caller's `frame` into a fresh
+    /// Copy call arguments from the caller's `frame` slots into a fresh
     /// frame for `callee`, then run it.
     fn call(
         &mut self,
         prog: &[DecodedFn],
         callee: usize,
-        args: &[Opnd],
+        args: &[u32],
         frame: &[u64],
         depth: usize,
     ) -> Result<u64, VmError> {
-        let args = args.iter().map(|a| a.eval(frame));
+        let args = args.iter().map(|&s| frame[s as usize]);
         let callee_frame = self.new_frame(&prog[callee], args);
         self.metrics.calls += 1;
         self.charge(self.cpu.call);
@@ -322,25 +354,24 @@ impl<T: Transport> Vm<T> {
             .unwrap_or(0))
     }
 
-    /// Take `e`: perform its phi copies (as one parallel assignment, each
-    /// copy one executed phi) and return the target op index.
-    fn take_edge(&mut self, f: &DecodedFn, e: Edge, frame: &mut [u64]) -> usize {
+    /// Take edge `e`: perform its phi copies (as one parallel assignment),
+    /// charge its tally and return the target op index.
+    fn take_edge(&mut self, f: &DecodedFn, e: u32, frame: &mut [u64]) -> usize {
+        let e = &f.edges[e as usize];
         let copies = &f.copies[e.copies.range()];
         if e.parallel {
             self.phi_tmp.clear();
             self.phi_tmp
-                .extend(copies.iter().map(|&(_, src)| src.eval(frame)));
+                .extend(copies.iter().map(|&(_, src)| frame[src as usize]));
             for (&(dst, _), &v) in copies.iter().zip(&self.phi_tmp) {
                 frame[dst as usize] = v;
             }
         } else {
             for &(dst, src) in copies {
-                frame[dst as usize] = src.eval(frame);
+                frame[dst as usize] = frame[src as usize];
             }
         }
-        let n = copies.len() as u64;
-        self.metrics.instructions += n;
-        self.charge(self.cpu.alu * n);
+        self.enter(&e.tally);
         e.pc as usize
     }
 
@@ -351,26 +382,36 @@ impl<T: Transport> Vm<T> {
         frame: &mut [u64],
         depth: usize,
     ) -> Result<Option<u64>, VmError> {
+        // A failing op leaves the loop with its error; `pc` is then the op
+        // after it.
+        macro_rules! tri {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => break VmError::from(e),
+                }
+            };
+        }
+        // `bin` through `consteval`, the one definition of its semantics.
+        macro_rules! bin {
+            ($op:expr, $ty:expr, $s:ident) => {
+                frame[$s.dst as usize] =
+                    tri!(bin_op($op, frame[$s.a as usize], frame[$s.b as usize], $ty))
+            };
+        }
+        self.enter(&f.entry);
         let mut pc = 0;
-        loop {
+        let err = loop {
             let op = f.ops[pc];
             pc += 1;
-            self.metrics.instructions += 1;
             match op {
                 Op::Alloc { dst, size } => {
-                    let sz = size.eval(frame);
-                    self.charge(self.cpu.alloc);
-                    frame[dst as usize] = self.native_alloc(sz);
-                }
-                Op::AllocStack { dst, size } => {
-                    self.charge(self.cpu.alloc / 10 + 1);
-                    frame[dst as usize] = self.native_alloc(size);
+                    frame[dst as usize] = tri!(self.native_alloc(frame[size as usize]));
                 }
                 Op::Free { ptr } => {
-                    let fp = FarPtr(ptr.eval(frame));
-                    self.charge(self.cpu.alloc / 2);
+                    let fp = FarPtr(frame[ptr as usize]);
                     if fp.is_tagged() {
-                        let c = self.runtime.free(fp)?;
+                        let c = tri!(self.runtime.free(fp));
                         self.charge(c);
                     }
                 }
@@ -378,96 +419,119 @@ impl<T: Transport> Vm<T> {
                     dst,
                     ptr,
                     width,
-                    ty,
+                    ext,
                 } => {
-                    let v = self.mem_read(ptr.eval(frame), width as usize, ty)?;
-                    self.metrics.loads += 1;
-                    self.charge(self.cpu.mem);
-                    frame[dst as usize] = v;
+                    frame[dst as usize] = tri!(self.mem_read(frame[ptr as usize], width, ext));
                 }
                 Op::Store { ptr, val, width } => {
-                    let (p, v) = (ptr.eval(frame), val.eval(frame));
-                    self.metrics.stores += 1;
-                    self.charge(self.cpu.mem);
-                    self.mem_write(p, v, width as usize)?;
+                    let (p, v) = (frame[ptr as usize], frame[val as usize]);
+                    tri!(self.mem_write(p, v, width));
                 }
-                Op::Gep {
+                Op::Gep { dst, base, idx, k } => {
+                    frame[dst as usize] = gep(frame, base, idx, k);
+                }
+                Op::GepN {
                     dst,
                     base,
-                    disp,
+                    k,
                     terms,
                 } => {
-                    let mut a = base.eval(frame).wrapping_add(disp);
+                    let mut a = frame[base as usize].wrapping_add(frame[k as usize]);
                     for &(o, scale) in &f.terms[terms.range()] {
-                        a = a.wrapping_add(o.eval(frame).wrapping_mul(scale));
+                        a = a.wrapping_add(frame[o as usize].wrapping_mul(scale));
                     }
-                    self.charge(self.cpu.alu);
                     frame[dst as usize] = a;
                 }
-                Op::Bin {
+                Op::GepLoad {
+                    gep: g,
+                    base,
+                    idx,
+                    k,
                     dst,
+                    width,
+                    ext,
+                } => {
+                    let a = gep(frame, base, idx, k);
+                    frame[g as usize] = a;
+                    frame[dst as usize] = tri!(self.mem_read(a, width, ext));
+                }
+                Op::GepStore {
+                    gep: g,
+                    base,
+                    idx,
+                    k,
+                    val,
+                    width,
+                } => {
+                    let a = gep(frame, base, idx, k);
+                    frame[g as usize] = a;
+                    tri!(self.mem_write(a, frame[val as usize], width));
+                }
+                Op::Bin { op, ty, s } => bin!(op, ty.ty(), s),
+                Op::AddI64(s) => bin!(BinOp::Add, Type::I64, s),
+                Op::SubI64(s) => bin!(BinOp::Sub, Type::I64, s),
+                Op::MulI64(s) => bin!(BinOp::Mul, Type::I64, s),
+                Op::AndI64(s) => bin!(BinOp::And, Type::I64, s),
+                Op::OrI64(s) => bin!(BinOp::Or, Type::I64, s),
+                Op::XorI64(s) => bin!(BinOp::Xor, Type::I64, s),
+                Op::ShlI64(s) => bin!(BinOp::Shl, Type::I64, s),
+                Op::LShrI64(s) => bin!(BinOp::LShr, Type::I64, s),
+                Op::AShrI64(s) => bin!(BinOp::AShr, Type::I64, s),
+                Op::FAdd(s) => bin!(BinOp::FAdd, Type::F64, s),
+                Op::FSub(s) => bin!(BinOp::FSub, Type::F64, s),
+                Op::FMul(s) => bin!(BinOp::FMul, Type::F64, s),
+                Op::FDiv(s) => bin!(BinOp::FDiv, Type::F64, s),
+                Op::Cmp { op, s } => {
+                    frame[s.dst as usize] =
+                        cmp_op(op, frame[s.a as usize], frame[s.b as usize]) as u64;
+                }
+                Op::CmpBr {
                     op,
-                    lhs,
-                    rhs,
-                    ty,
+                    s,
+                    then_e,
+                    else_e,
                 } => {
-                    let (a, b) = (lhs.eval(frame), rhs.eval(frame));
-                    self.charge(self.cpu.alu);
-                    frame[dst as usize] = bin_op(op, a, b, ty)?;
+                    let c = cmp_op(op, frame[s.a as usize], frame[s.b as usize]);
+                    frame[s.dst as usize] = c as u64;
+                    pc = self.take_edge(f, if c { then_e } else { else_e }, frame);
                 }
-                Op::Cmp { dst, op, lhs, rhs } => {
-                    let (a, b) = (lhs.eval(frame), rhs.eval(frame));
-                    self.charge(self.cpu.alu);
-                    frame[dst as usize] = cmp_op(op, a, b) as u64;
+                Op::Cast { dst, op, to, val } => {
+                    frame[dst as usize] = cast_op(op, frame[val as usize], to.ty());
                 }
-                Op::Cast { dst, op, val, to } => {
-                    let v = val.eval(frame);
-                    self.charge(self.cpu.alu);
-                    frame[dst as usize] = cast_op(op, v, to);
+                Op::Select { cond, s } => {
+                    let pick = if frame[cond as usize] != 0 { s.a } else { s.b };
+                    frame[s.dst as usize] = frame[pick as usize];
                 }
-                Op::Select {
-                    dst,
-                    cond,
-                    then_v,
-                    else_v,
-                } => {
-                    self.charge(self.cpu.alu);
-                    frame[dst as usize] = if cond.eval(frame) != 0 {
-                        then_v.eval(frame)
-                    } else {
-                        else_v.eval(frame)
-                    };
-                }
-                Op::Intrin { dst, which, a, b } => {
-                    let (a, b) = (a.eval(frame), b.eval(frame));
-                    self.charge(self.cpu.intrin);
-                    frame[dst as usize] = intrin_op(which, a, b);
+                Op::Intrin { which, s } => {
+                    frame[s.dst as usize] =
+                        intrin_op(which, frame[s.a as usize], frame[s.b as usize]);
                 }
                 Op::Call { dst, callee, args } => {
-                    let args = &f.operands[args.range()];
-                    frame[dst as usize] = self.call(prog, callee as usize, args, frame, depth)?;
+                    let args = &f.slots[args.range()];
+                    frame[dst as usize] =
+                        tri!(self.call(prog, callee as usize, args, frame, depth));
                 }
                 Op::CallIndirect { dst, callee, args } => {
-                    let target = callee.eval(frame);
+                    let target = frame[callee as usize];
                     if !(FUNC_BASE..FUNC_BASE + prog.len() as u64).contains(&target) {
-                        return Err(VmError::BadIndirectCall(target));
+                        break VmError::BadIndirectCall(target);
                     }
-                    let args = &f.operands[args.range()];
+                    let args = &f.slots[args.range()];
                     let callee = (target - FUNC_BASE) as usize;
-                    frame[dst as usize] = self.call(prog, callee, args, frame, depth)?;
+                    frame[dst as usize] = tri!(self.call(prog, callee, args, frame, depth));
                 }
-                Op::Br { to } => {
-                    self.charge(self.cpu.branch);
-                    pc = self.take_edge(f, to, frame);
-                }
+                Op::Br { e } => pc = self.take_edge(f, e, frame),
                 Op::CondBr {
                     cond,
                     then_e,
                     else_e,
                 } => {
-                    let c = cond.eval(frame);
-                    self.charge(self.cpu.branch);
-                    pc = self.take_edge(f, if c != 0 { then_e } else { else_e }, frame);
+                    let e = if frame[cond as usize] != 0 {
+                        then_e
+                    } else {
+                        else_e
+                    };
+                    pc = self.take_edge(f, e, frame);
                 }
                 Op::Dispatch {
                     cond,
@@ -475,8 +539,7 @@ impl<T: Transport> Vm<T> {
                     else_e,
                     site,
                 } => {
-                    let slow = cond.eval(frame) != 0;
-                    self.charge(self.cpu.branch);
+                    let slow = frame[cond as usize] != 0;
                     if slow {
                         self.metrics.slow_path_taken += 1;
                     } else {
@@ -491,65 +554,69 @@ impl<T: Transport> Vm<T> {
                     }
                     pc = self.take_edge(f, if slow { then_e } else { else_e }, frame);
                 }
-                Op::Ret { val } => {
-                    self.charge(self.cpu.branch);
-                    return Ok(val.map(|v| v.eval(frame)));
-                }
+                Op::Ret { val } => return Ok(Some(frame[val as usize])),
+                Op::RetVoid => return Ok(None),
                 Op::DsInit { dst, meta } => {
                     let spec = spec_from_meta(&self.module, self.module.ds_meta(DsMetaId(meta)));
                     let hint = self.hints[meta as usize];
                     let h = self.runtime.register_ds(spec, hint);
                     self.registrations.push(meta);
-                    self.charge(100);
                     frame[dst as usize] = h as u64;
                 }
                 Op::DsAlloc { dst, size, handle } => {
-                    let sz = size.eval(frame);
-                    let h = handle.eval(frame) as u16;
-                    let (p, c) = self.runtime.ds_alloc(h, sz)?;
-                    self.charge(self.cpu.alloc + c);
+                    let (sz, h) = (frame[size as usize], frame[handle as usize] as u16);
+                    let (p, c) = tri!(self.runtime.ds_alloc(h, sz));
+                    self.charge(c);
                     frame[dst as usize] = p.bits();
                 }
-                Op::Guard {
-                    dst,
-                    ptr,
-                    access,
-                    bytes,
-                    site,
-                } => {
-                    let p = ptr.eval(frame);
+                Op::Guard { dst, ptr, g } => {
+                    let p = frame[ptr as usize];
+                    let g = f.guards[g as usize];
                     self.metrics.guards += 1;
                     // Surface the executing site to the profiler so the
                     // runtime charges this check's cost to it.
-                    self.runtime.profiler_mut().set_current(site);
-                    let r = self.runtime.guard(FarPtr(p), access, bytes);
+                    self.runtime.profiler_mut().set_current(g.site);
+                    let r = self.runtime.guard(FarPtr(p), g.access, g.bytes);
                     self.runtime.profiler_mut().set_current(None);
-                    let c = r?;
+                    let c = tri!(r);
                     self.charge(c);
                     frame[dst as usize] = p; // localized ptr == same bits
                 }
                 Op::RemotableCheck { dst, handles } => {
                     self.handles.clear();
                     self.handles.extend(
-                        f.operands[handles.range()]
+                        f.slots[handles.range()]
                             .iter()
-                            .map(|h| h.eval(frame) as u16),
+                            .map(|&h| frame[h as usize] as u16),
                     );
                     self.metrics.remotable_checks += 1;
                     let (any, c) = self.runtime.remotable_check(&self.handles);
                     self.charge(c);
                     frame[dst as usize] = any as u64;
                 }
-                Op::FallThrough => {
-                    // Not an instruction: the block simply ended.
-                    self.metrics.instructions -= 1;
-                    return Err(VmError::MissingTerminator);
-                }
+                Op::FallThrough => break VmError::MissingTerminator,
             }
-        }
+        };
+        self.take_back(&f.undo[pc - 1]);
+        Err(err)
     }
 
-    fn mem_read(&mut self, ptr: u64, size: usize, ty: Type) -> Result<u64, VmError> {
+    /// Load `width` bytes at `ptr`, extended from `ext`. Each common width
+    /// gets its own copy of [`Self::read_bytes`], so moving the bytes is
+    /// a constant-size copy rather than a call to `memcpy`.
+    fn mem_read(&mut self, ptr: u64, width: u8, ext: Width) -> Result<u64, VmError> {
+        let raw = match width {
+            8 => self.read_bytes(ptr, 8),
+            4 => self.read_bytes(ptr, 4),
+            2 => self.read_bytes(ptr, 2),
+            1 => self.read_bytes(ptr, 1),
+            w => self.read_bytes(ptr, w as usize),
+        }?;
+        Ok(extend(raw, ext.ty()))
+    }
+
+    #[inline(always)]
+    fn read_bytes(&mut self, ptr: u64, size: usize) -> Result<u64, VmError> {
         let mut buf = [0u8; 8];
         let fp = FarPtr(ptr);
         if fp.is_tagged() {
@@ -559,10 +626,23 @@ impl<T: Transport> Vm<T> {
             let a = self.native_index(ptr, size)?;
             buf[..size].copy_from_slice(&self.native[a..a + size]);
         }
-        Ok(extend(u64::from_le_bytes(buf), ty))
+        Ok(u64::from_le_bytes(buf))
     }
 
-    fn mem_write(&mut self, ptr: u64, val: u64, size: usize) -> Result<(), VmError> {
+    /// Store the low `width` bytes of `val` at `ptr`, specialized by width
+    /// as [`Self::mem_read`] is.
+    fn mem_write(&mut self, ptr: u64, val: u64, width: u8) -> Result<(), VmError> {
+        match width {
+            8 => self.write_bytes(ptr, val, 8),
+            4 => self.write_bytes(ptr, val, 4),
+            2 => self.write_bytes(ptr, val, 2),
+            1 => self.write_bytes(ptr, val, 1),
+            w => self.write_bytes(ptr, val, w as usize),
+        }
+    }
+
+    #[inline(always)]
+    fn write_bytes(&mut self, ptr: u64, val: u64, size: usize) -> Result<(), VmError> {
         let bytes = val.to_le_bytes();
         let fp = FarPtr(ptr);
         if fp.is_tagged() {
@@ -615,6 +695,15 @@ pub fn spec_from_meta(module: &Module, meta: &DsMeta) -> DsSpec {
     }
 }
 
+/// `base + disp + idx × scale` with `(disp, scale)` in slots `k`, `k + 1`.
+#[inline(always)]
+fn gep(frame: &[u64], base: u32, idx: u32, k: u32) -> u64 {
+    let (disp, scale) = (frame[k as usize], frame[k as usize + 1]);
+    frame[base as usize]
+        .wrapping_add(disp)
+        .wrapping_add(frame[idx as usize].wrapping_mul(scale))
+}
+
 fn extend(raw: u64, ty: Type) -> u64 {
     cards_ir::consteval::extend(raw, ty)
 }
@@ -625,6 +714,7 @@ fn width_mask(ty: Type) -> u64 {
 
 /// Binary-op semantics are shared with the optimizer's constant folder
 /// (`cards_ir::consteval`) so the two can never drift apart.
+#[inline(always)]
 fn bin_op(op: BinOp, a: u64, b: u64, ty: Type) -> Result<u64, VmError> {
     cards_ir::consteval::eval_bin(op, a, b, ty).map_err(|_| VmError::DivByZero)
 }

@@ -178,6 +178,38 @@ mod tests {
         ));
     }
 
+    /// An allocation whose end would overflow, or pass the 2^48 bytes
+    /// native addresses have before they read as tagged, fails without
+    /// touching native memory: the global allocated before it still reads
+    /// back, and a later allocation starts where it would have.
+    #[test]
+    fn native_alloc_past_the_address_space_fails() {
+        let mut m = Module::new("a");
+        let g = m.add_global("g", Type::I64, Some(Value::ConstInt(42)));
+        let mut b = FunctionBuilder::new("main", vec![Type::I64], Type::I64);
+        let p = b.alloc(b.arg(0), Type::I64);
+        let v = b.load(Value::Global(g), Type::I64);
+        let q = b.cast(cards_ir::CastOp::PtrToInt, p, Type::I64);
+        let r = b.add(v, q);
+        b.ret(r);
+        m.add_function(b.finish());
+        let mut vm = vm_for(m);
+        // The global sits at the native base; the heap starts after it.
+        let next = 0x1_0000 + 16;
+        for n in [u64::MAX, 0xffff_ffff_fffe_ffff, (1 << 48) - next + 1] {
+            assert_eq!(
+                vm.run("main", &[n]),
+                Err(VmError::NativeOob {
+                    addr: next,
+                    bytes: n
+                }),
+                "size {n:#x}"
+            );
+        }
+        assert_eq!(vm.global_u64("g"), Some(42));
+        assert_eq!(vm.run("main", &[16]), Ok(Some(42 + next)));
+    }
+
     /// The central correctness property: the transformed (far-memory)
     /// program computes the same results as the untransformed one.
     #[test]

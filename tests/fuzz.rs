@@ -320,7 +320,7 @@ fn every_export_parses_with_the_shared_reader() {
 
     // The BENCH snapshots at CI size.
     let core = parsed("BENCH_core", &bench_core_json(true));
-    assert_eq!(core.str_of("schema"), "cards-bench-core-v1");
+    assert_eq!(core.str_of("schema"), "cards-bench-core-v2");
     assert_eq!(core.arr_of("workloads").len(), 3);
     let bp = parsed("BENCH_profile", &bench_profile_json(true));
     assert_eq!(bp.str_of("schema"), "cards-bench-profile-v1");

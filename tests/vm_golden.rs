@@ -8,8 +8,14 @@
 //! must leave every row untouched: modeled cycles, counters and exports
 //! are the deterministic figure of merit, and only host time may move.
 //! On a mismatch the test prints the observed table as Rust source.
+//!
+//! A second table pins seeded `testgen` programs, which reach what the
+//! paper programs do not: `free`, narrow-width arithmetic on corner
+//! operands, helper calls and pointer-chased chains, untransformed as well
+//! as under both far-memory pipelines.
 
 use cards_core::baselines::MemoryBudget;
+use cards_core::ir::testgen::{generate, GenConfig};
 use cards_core::ir::Module;
 use cards_core::net::envelope::{fnv1a, fnv1a_init};
 use cards_core::net::{NetworkModel, SimTransport};
@@ -172,6 +178,181 @@ fn modeled_behaviour_matches_golden_table() {
     assert!(
         mismatches.is_empty(),
         "{} golden rows differ:\n{}\nobserved table:\n{observed}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+}
+
+/// What one generated-program case pins.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct GenGolden {
+    ret: Option<u64>,
+    digest: Option<u64>,
+    metrics: VmMetrics,
+    /// Digest of the per-DS, global runtime and transport counters.
+    stats: u64,
+}
+
+/// Run `module` compiled by `opts` (untransformed when `None`) with
+/// `frac` of `ws` pinned plus a 10% remotable cache, Max Use at `k`.
+fn run_generated(
+    module: Module,
+    opts: Option<CompileOptions>,
+    ws: u64,
+    frac: f64,
+    k: u32,
+) -> GenGolden {
+    let module = match opts {
+        Some(o) => compile(module, o).unwrap().module,
+        None => module,
+    };
+    let b = MemoryBudget::fraction_of(ws, frac, 0.1);
+    let cfg = RuntimeConfig::new(b.local_bytes - b.remotable_reserve, b.remotable_reserve)
+        .with_costs(CostModel::cards());
+    let mut vm = Vm::new(
+        module,
+        cfg,
+        SimTransport::new(NetworkModel::default()),
+        RemotingPolicy::MaxUse,
+        k,
+    );
+    let ret = vm.run("main", &[]).unwrap();
+    let rt = vm.runtime();
+    let mut stats = String::new();
+    for h in 0..rt.ds_count() {
+        stats += &format!("{:?};", rt.ds_stats(h as u16).unwrap());
+    }
+    stats += &format!("{:?};{:?}", rt.stats(), rt.net_stats());
+    GenGolden {
+        ret,
+        digest: vm.global_u64("digest"),
+        metrics: *vm.metrics(),
+        stats: digest(&stats),
+    }
+}
+
+fn gen_row(cfg: &str, seed: u64, pipe: &str, mode: &str, g: &GenGolden) -> String {
+    let m = &g.metrics;
+    let hex = |v: Option<u64>| v.map_or("None".to_string(), |v| format!("Some({v:#x})"));
+    format!(
+        "    (\"{cfg}\", {seed}, \"{pipe}\", \"{mode}\", GenGolden {{ ret: {}, digest: {}, \
+         metrics: VmMetrics {{ cycles: {}, instructions: {}, loads: {}, stores: {}, guards: {}, \
+         remotable_checks: {}, fast_path_taken: {}, slow_path_taken: {}, calls: {} }}, \
+         stats: {:#x} }}),\n",
+        hex(g.ret),
+        hex(g.digest),
+        m.cycles,
+        m.instructions,
+        m.loads,
+        m.stores,
+        m.guards,
+        m.remotable_checks,
+        m.fast_path_taken,
+        m.slow_path_taken,
+        m.calls,
+        g.stats,
+    )
+}
+
+#[rustfmt::skip]
+const GENERATED: &[(&str, u64, &str, &str, GenGolden)] = &[
+    ("default", 1, "untransformed", "pinned", GenGolden { ret: Some(0x620), digest: Some(0x643c78e73354ae59), metrics: VmMetrics { cycles: 9935, instructions: 5186, loads: 641, stores: 513, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 32 }, stats: 0xb606e6a5d6186bfe }),
+    ("default", 1, "untransformed", "remote", GenGolden { ret: Some(0x620), digest: Some(0x643c78e73354ae59), metrics: VmMetrics { cycles: 9935, instructions: 5186, loads: 641, stores: 513, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 32 }, stats: 0xb606e6a5d6186bfe }),
+    ("default", 1, "cards", "pinned", GenGolden { ret: Some(0x620), digest: Some(0x643c78e73354ae59), metrics: VmMetrics { cycles: 253897, instructions: 5840, loads: 641, stores: 513, guards: 640, remotable_checks: 6, fast_path_taken: 0, slow_path_taken: 6, calls: 32 }, stats: 0x38352dfecef86f3f }),
+    ("default", 1, "cards", "remote", GenGolden { ret: Some(0x620), digest: Some(0x643c78e73354ae59), metrics: VmMetrics { cycles: 253897, instructions: 5840, loads: 641, stores: 513, guards: 640, remotable_checks: 6, fast_path_taken: 0, slow_path_taken: 6, calls: 32 }, stats: 0x6351f18458e8abea }),
+    ("default", 1, "trackfm", "pinned", GenGolden { ret: Some(0x620), digest: Some(0x643c78e73354ae59), metrics: VmMetrics { cycles: 254167, instructions: 6086, loads: 641, stores: 513, guards: 898, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 32 }, stats: 0x690304dc221caa88 }),
+    ("default", 1, "trackfm", "remote", GenGolden { ret: Some(0x620), digest: Some(0x643c78e73354ae59), metrics: VmMetrics { cycles: 254167, instructions: 6086, loads: 641, stores: 513, guards: 898, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 32 }, stats: 0xedd03e2ceb17aded }),
+    ("default", 2, "untransformed", "pinned", GenGolden { ret: Some(0xffffffffffc56bba), digest: Some(0x201fae9d12ecffb8), metrics: VmMetrics { cycles: 8491, instructions: 4192, loads: 517, stores: 451, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 44 }, stats: 0xb606e6a5d6186bfe }),
+    ("default", 2, "untransformed", "remote", GenGolden { ret: Some(0xffffffffffc56bba), digest: Some(0x201fae9d12ecffb8), metrics: VmMetrics { cycles: 8491, instructions: 4192, loads: 517, stores: 451, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 44 }, stats: 0xb606e6a5d6186bfe }),
+    ("default", 2, "cards", "pinned", GenGolden { ret: Some(0xffffffffffc56bba), digest: Some(0x201fae9d12ecffb8), metrics: VmMetrics { cycles: 181772, instructions: 4658, loads: 517, stores: 451, guards: 454, remotable_checks: 5, fast_path_taken: 0, slow_path_taken: 5, calls: 44 }, stats: 0x4151ecee27f450af }),
+    ("default", 2, "cards", "remote", GenGolden { ret: Some(0xffffffffffc56bba), digest: Some(0x201fae9d12ecffb8), metrics: VmMetrics { cycles: 181772, instructions: 4658, loads: 517, stores: 451, guards: 454, remotable_checks: 5, fast_path_taken: 0, slow_path_taken: 5, calls: 44 }, stats: 0xf2a0d811618a6606 }),
+    ("default", 2, "trackfm", "pinned", GenGolden { ret: Some(0xffffffffffc56bba), digest: Some(0x201fae9d12ecffb8), metrics: VmMetrics { cycles: 182043, instructions: 4906, loads: 517, stores: 451, guards: 712, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 44 }, stats: 0xca226fe051bc14f2 }),
+    ("default", 2, "trackfm", "remote", GenGolden { ret: Some(0xffffffffffc56bba), digest: Some(0x201fae9d12ecffb8), metrics: VmMetrics { cycles: 182043, instructions: 4906, loads: 517, stores: 451, guards: 712, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 44 }, stats: 0x843e34af5b4d3087 }),
+    ("default", 3, "untransformed", "pinned", GenGolden { ret: Some(0x40272900), digest: Some(0x79677913899f7595), metrics: VmMetrics { cycles: 11263, instructions: 5830, loads: 685, stores: 535, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 86 }, stats: 0xb606e6a5d6186bfe }),
+    ("default", 3, "untransformed", "remote", GenGolden { ret: Some(0x40272900), digest: Some(0x79677913899f7595), metrics: VmMetrics { cycles: 11263, instructions: 5830, loads: 685, stores: 535, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 86 }, stats: 0xb606e6a5d6186bfe }),
+    ("default", 3, "cards", "pinned", GenGolden { ret: Some(0x40272900), digest: Some(0x79677913899f7595), metrics: VmMetrics { cycles: 280264, instructions: 6548, loads: 685, stores: 535, guards: 706, remotable_checks: 5, fast_path_taken: 0, slow_path_taken: 5, calls: 86 }, stats: 0x7e4375352ab583db }),
+    ("default", 3, "cards", "remote", GenGolden { ret: Some(0x40272900), digest: Some(0x79677913899f7595), metrics: VmMetrics { cycles: 280264, instructions: 6548, loads: 685, stores: 535, guards: 706, remotable_checks: 5, fast_path_taken: 0, slow_path_taken: 5, calls: 86 }, stats: 0x1fe4df188e71ec2e }),
+    ("default", 3, "trackfm", "pinned", GenGolden { ret: Some(0x40272900), digest: Some(0x79677913899f7595), metrics: VmMetrics { cycles: 280575, instructions: 6796, loads: 685, stores: 535, guards: 964, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 86 }, stats: 0x9a174fa77d55bf95 }),
+    ("default", 3, "trackfm", "remote", GenGolden { ret: Some(0x40272900), digest: Some(0x79677913899f7595), metrics: VmMetrics { cycles: 280575, instructions: 6796, loads: 685, stores: 535, guards: 964, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 86 }, stats: 0x519b9112b33379a0 }),
+    ("adversarial", 1, "untransformed", "pinned", GenGolden { ret: Some(0x738118c28605b8f1), digest: Some(0x32eb309ddcf8146a), metrics: VmMetrics { cycles: 5144, instructions: 2168, loads: 273, stores: 237, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 36 }, stats: 0xb606e6a5d6186bfe }),
+    ("adversarial", 1, "untransformed", "remote", GenGolden { ret: Some(0x738118c28605b8f1), digest: Some(0x32eb309ddcf8146a), metrics: VmMetrics { cycles: 5144, instructions: 2168, loads: 273, stores: 237, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 36 }, stats: 0xb606e6a5d6186bfe }),
+    ("adversarial", 1, "cards", "pinned", GenGolden { ret: Some(0x738118c28605b8f1), digest: Some(0x32eb309ddcf8146a), metrics: VmMetrics { cycles: 87275, instructions: 2395, loads: 273, stores: 237, guards: 214, remotable_checks: 5, fast_path_taken: 1, slow_path_taken: 4, calls: 36 }, stats: 0x70a801fecf443e8e }),
+    ("adversarial", 1, "cards", "remote", GenGolden { ret: Some(0x738118c28605b8f1), digest: Some(0x32eb309ddcf8146a), metrics: VmMetrics { cycles: 91055, instructions: 2405, loads: 273, stores: 237, guards: 224, remotable_checks: 5, fast_path_taken: 0, slow_path_taken: 5, calls: 36 }, stats: 0x68d43b11732396c6 }),
+    ("adversarial", 1, "trackfm", "pinned", GenGolden { ret: Some(0x738118c28605b8f1), digest: Some(0x32eb309ddcf8146a), metrics: VmMetrics { cycles: 91052, instructions: 2526, loads: 273, stores: 237, guards: 355, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 36 }, stats: 0xd3fe4d91aff60b90 }),
+    ("adversarial", 1, "trackfm", "remote", GenGolden { ret: Some(0x738118c28605b8f1), digest: Some(0x32eb309ddcf8146a), metrics: VmMetrics { cycles: 91052, instructions: 2526, loads: 273, stores: 237, guards: 355, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 36 }, stats: 0x65b3ab465ff62038 }),
+    ("adversarial", 2, "untransformed", "pinned", GenGolden { ret: Some(0xfe9a3efc437c9782), digest: Some(0xac29dce433af1b80), metrics: VmMetrics { cycles: 4886, instructions: 2048, loads: 267, stores: 233, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 24 }, stats: 0xb606e6a5d6186bfe }),
+    ("adversarial", 2, "untransformed", "remote", GenGolden { ret: Some(0xfe9a3efc437c9782), digest: Some(0xac29dce433af1b80), metrics: VmMetrics { cycles: 4886, instructions: 2048, loads: 267, stores: 233, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 24 }, stats: 0xb606e6a5d6186bfe }),
+    ("adversarial", 2, "cards", "pinned", GenGolden { ret: Some(0xfe9a3efc437c9782), digest: Some(0xac29dce433af1b80), metrics: VmMetrics { cycles: 82538, instructions: 2265, loads: 267, stores: 233, guards: 202, remotable_checks: 6, fast_path_taken: 1, slow_path_taken: 5, calls: 24 }, stats: 0x5fb7023647e019cf }),
+    ("adversarial", 2, "cards", "remote", GenGolden { ret: Some(0xfe9a3efc437c9782), digest: Some(0xac29dce433af1b80), metrics: VmMetrics { cycles: 86318, instructions: 2275, loads: 267, stores: 233, guards: 212, remotable_checks: 6, fast_path_taken: 0, slow_path_taken: 6, calls: 24 }, stats: 0x87d446e8f572bc0e }),
+    ("adversarial", 2, "trackfm", "pinned", GenGolden { ret: Some(0xfe9a3efc437c9782), digest: Some(0xac29dce433af1b80), metrics: VmMetrics { cycles: 86238, instructions: 2396, loads: 267, stores: 233, guards: 345, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 24 }, stats: 0x2f2e89a2dc00231b }),
+    ("adversarial", 2, "trackfm", "remote", GenGolden { ret: Some(0xfe9a3efc437c9782), digest: Some(0xac29dce433af1b80), metrics: VmMetrics { cycles: 86238, instructions: 2396, loads: 267, stores: 233, guards: 345, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 24 }, stats: 0xc6e58aa175aa81ff }),
+    ("adversarial", 3, "untransformed", "pinned", GenGolden { ret: Some(0xe700e0fb8b0fa0df), digest: Some(0xf69676b3bd2fcc75), metrics: VmMetrics { cycles: 5586, instructions: 2409, loads: 295, stores: 246, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 48 }, stats: 0xb606e6a5d6186bfe }),
+    ("adversarial", 3, "untransformed", "remote", GenGolden { ret: Some(0xe700e0fb8b0fa0df), digest: Some(0xf69676b3bd2fcc75), metrics: VmMetrics { cycles: 5586, instructions: 2409, loads: 295, stores: 246, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 48 }, stats: 0xb606e6a5d6186bfe }),
+    ("adversarial", 3, "cards", "pinned", GenGolden { ret: Some(0xe700e0fb8b0fa0df), digest: Some(0xf69676b3bd2fcc75), metrics: VmMetrics { cycles: 101397, instructions: 2672, loads: 295, stores: 246, guards: 250, remotable_checks: 5, fast_path_taken: 1, slow_path_taken: 4, calls: 48 }, stats: 0x602f4028d630e750 }),
+    ("adversarial", 3, "cards", "remote", GenGolden { ret: Some(0xe700e0fb8b0fa0df), digest: Some(0xf69676b3bd2fcc75), metrics: VmMetrics { cycles: 105177, instructions: 2682, loads: 295, stores: 246, guards: 260, remotable_checks: 5, fast_path_taken: 0, slow_path_taken: 5, calls: 48 }, stats: 0xf5067c18f0511cb7 }),
+    ("adversarial", 3, "trackfm", "pinned", GenGolden { ret: Some(0xe700e0fb8b0fa0df), digest: Some(0xf69676b3bd2fcc75), metrics: VmMetrics { cycles: 105176, instructions: 2804, loads: 295, stores: 246, guards: 392, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 48 }, stats: 0xad55180b6599381f }),
+    ("adversarial", 3, "trackfm", "remote", GenGolden { ret: Some(0xe700e0fb8b0fa0df), digest: Some(0xf69676b3bd2fcc75), metrics: VmMetrics { cycles: 105176, instructions: 2804, loads: 295, stores: 246, guards: 392, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 48 }, stats: 0xf61177e4784dc6d3 }),
+    ("chaos", 1, "untransformed", "pinned", GenGolden { ret: Some(0xd8e58bd8185c42d4), digest: Some(0x2c57de28275c1908), metrics: VmMetrics { cycles: 428930, instructions: 211384, loads: 26069, stores: 22314, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 3072 }, stats: 0xb606e6a5d6186bfe }),
+    ("chaos", 1, "untransformed", "remote", GenGolden { ret: Some(0xd8e58bd8185c42d4), digest: Some(0x2c57de28275c1908), metrics: VmMetrics { cycles: 428930, instructions: 211384, loads: 26069, stores: 22314, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 3072 }, stats: 0xb606e6a5d6186bfe }),
+    ("chaos", 1, "cards", "pinned", GenGolden { ret: Some(0xd8e58bd8185c42d4), digest: Some(0x2c57de28275c1908), metrics: VmMetrics { cycles: 3941524, instructions: 220644, loads: 26069, stores: 22314, guards: 9240, remotable_checks: 8, fast_path_taken: 8, slow_path_taken: 0, calls: 3072 }, stats: 0xd932204122c4b611 }),
+    ("chaos", 1, "cards", "remote", GenGolden { ret: Some(0xd8e58bd8185c42d4), digest: Some(0x2c57de28275c1908), metrics: VmMetrics { cycles: 10130212, instructions: 235005, loads: 26069, stores: 22314, guards: 23601, remotable_checks: 8, fast_path_taken: 0, slow_path_taken: 8, calls: 3072 }, stats: 0xd9abe10479073b9f }),
+    ("chaos", 1, "trackfm", "pinned", GenGolden { ret: Some(0xd8e58bd8185c42d4), digest: Some(0x2c57de28275c1908), metrics: VmMetrics { cycles: 9435196, instructions: 247354, loads: 26069, stores: 22314, guards: 35966, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 3072 }, stats: 0x89dd64a0d85b31e6 }),
+    ("chaos", 1, "trackfm", "remote", GenGolden { ret: Some(0xd8e58bd8185c42d4), digest: Some(0x2c57de28275c1908), metrics: VmMetrics { cycles: 10068216, instructions: 247354, loads: 26069, stores: 22314, guards: 35966, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 3072 }, stats: 0xc1fabb63edbc18e7 }),
+    ("chaos", 2, "untransformed", "pinned", GenGolden { ret: Some(0xa72b2d0fe563b510), digest: Some(0xa25ae22574434e38), metrics: VmMetrics { cycles: 414604, instructions: 206268, loads: 26071, stores: 22314, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 2048 }, stats: 0xb606e6a5d6186bfe }),
+    ("chaos", 2, "untransformed", "remote", GenGolden { ret: Some(0xa72b2d0fe563b510), digest: Some(0xa25ae22574434e38), metrics: VmMetrics { cycles: 414604, instructions: 206268, loads: 26071, stores: 22314, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 2048 }, stats: 0xb606e6a5d6186bfe }),
+    ("chaos", 2, "cards", "pinned", GenGolden { ret: Some(0xa72b2d0fe563b510), digest: Some(0xa25ae22574434e38), metrics: VmMetrics { cycles: 2759959, instructions: 212458, loads: 26071, stores: 22314, guards: 6168, remotable_checks: 9, fast_path_taken: 9, slow_path_taken: 0, calls: 2048 }, stats: 0x3fc24d87951fcf3e }),
+    ("chaos", 2, "cards", "remote", GenGolden { ret: Some(0xa72b2d0fe563b510), digest: Some(0xa25ae22574434e38), metrics: VmMetrics { cycles: 10116007, instructions: 229891, loads: 26071, stores: 22314, guards: 23601, remotable_checks: 9, fast_path_taken: 0, slow_path_taken: 9, calls: 2048 }, stats: 0xfe4b612cf5703f31 }),
+    ("chaos", 2, "trackfm", "pinned", GenGolden { ret: Some(0xa72b2d0fe563b510), digest: Some(0xa25ae22574434e38), metrics: VmMetrics { cycles: 9420874, instructions: 242240, loads: 26071, stores: 22314, guards: 35968, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 2048 }, stats: 0x5c8db6d5b4022b89 }),
+    ("chaos", 2, "trackfm", "remote", GenGolden { ret: Some(0xa72b2d0fe563b510), digest: Some(0xa25ae22574434e38), metrics: VmMetrics { cycles: 10053894, instructions: 242240, loads: 26071, stores: 22314, guards: 35968, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 2048 }, stats: 0x16fdba3e5af9d006 }),
+    ("chaos", 3, "untransformed", "pinned", GenGolden { ret: Some(0x61cb61da5d3903cb), digest: Some(0x75dcb0c4a2e16a86), metrics: VmMetrics { cycles: 468840, instructions: 232877, loads: 28115, stores: 23335, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 4096 }, stats: 0xb606e6a5d6186bfe }),
+    ("chaos", 3, "untransformed", "remote", GenGolden { ret: Some(0x61cb61da5d3903cb), digest: Some(0x75dcb0c4a2e16a86), metrics: VmMetrics { cycles: 468840, instructions: 232877, loads: 28115, stores: 23335, guards: 0, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 4096 }, stats: 0xb606e6a5d6186bfe }),
+    ("chaos", 3, "cards", "pinned", GenGolden { ret: Some(0x61cb61da5d3903cb), digest: Some(0x75dcb0c4a2e16a86), metrics: VmMetrics { cycles: 5148794, instructions: 245209, loads: 28115, stores: 23335, guards: 12312, remotable_checks: 8, fast_path_taken: 8, slow_path_taken: 0, calls: 4096 }, stats: 0x34c5a9b06a7cb7da }),
+    ("chaos", 3, "cards", "remote", GenGolden { ret: Some(0x61cb61da5d3903cb), digest: Some(0x75dcb0c4a2e16a86), metrics: VmMetrics { cycles: 11190674, instructions: 259570, loads: 28115, stores: 23335, guards: 26673, remotable_checks: 8, fast_path_taken: 0, slow_path_taken: 8, calls: 4096 }, stats: 0x40f4c511e8e8915a }),
+    ("chaos", 3, "trackfm", "pinned", GenGolden { ret: Some(0x61cb61da5d3903cb), digest: Some(0x75dcb0c4a2e16a86), metrics: VmMetrics { cycles: 10642468, instructions: 271920, loads: 28115, stores: 23335, guards: 39039, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 4096 }, stats: 0x5f4476e82d31fd1b }),
+    ("chaos", 3, "trackfm", "remote", GenGolden { ret: Some(0x61cb61da5d3903cb), digest: Some(0x75dcb0c4a2e16a86), metrics: VmMetrics { cycles: 11195840, instructions: 271920, loads: 28115, stores: 23335, guards: 39039, remotable_checks: 0, fast_path_taken: 0, slow_path_taken: 0, calls: 4096 }, stats: 0x86ae9ba4e0c83b76 }),
+];
+
+#[test]
+fn generated_programs_match_golden_table() {
+    let configs = [
+        ("default", GenConfig::default()),
+        ("adversarial", GenConfig::adversarial()),
+        ("chaos", GenConfig::chaos()),
+    ];
+    let pipelines = [
+        ("untransformed", None),
+        ("cards", Some(CompileOptions::cards())),
+        ("trackfm", Some(CompileOptions::trackfm())),
+    ];
+    let mut observed = String::new();
+    let mut mismatches = Vec::new();
+    for (cname, cfg) in configs {
+        // Arrays of i64 plus the chain's 16-byte nodes.
+        let ws = (cfg.arrays.max(1) as i64 * cfg.elems * 8 + cfg.chain_len * 16) as u64;
+        for seed in 1..=3 {
+            let module = generate(seed, cfg);
+            for (pname, opts) in pipelines {
+                for (mode, frac, k) in [("pinned", 2.0, 100), ("remote", 0.25, 50)] {
+                    let g = run_generated(module.clone(), opts, ws, frac, k);
+                    observed += &gen_row(cname, seed, pname, mode, &g);
+                    let want = GENERATED
+                        .iter()
+                        .find(|(c, s, p, md, _)| {
+                            *c == cname && *s == seed && *p == pname && *md == mode
+                        })
+                        .map(|(_, _, _, _, w)| *w);
+                    if want != Some(g) {
+                        mismatches.push(format!(
+                            "{cname}/{seed}/{pname}/{mode}: want {want:?}\n  got {g:?}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} generated rows differ:\n{}\nobserved table:\n{observed}",
         mismatches.len(),
         mismatches.join("\n")
     );
