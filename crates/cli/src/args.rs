@@ -17,7 +17,7 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from an iterator of arguments (excluding argv[0]).
+    /// Parse from an iterator of arguments (excluding `argv[0]`).
     pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut out = Args::default();
         let mut it = argv.into_iter().peekable();

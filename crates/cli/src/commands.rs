@@ -48,7 +48,7 @@ usage:
   cards ttrace diff <a.json> <b.json> [--out FILE]
                 (compare two cards-ttrace-v1 exports and localize which
                 phase and guard site regressed; also diffs two
-                cards-fleet-v1 exports, naming the regressed shard and
+                cards-fleet-v2 exports, naming the regressed shard and
                 phase across the cluster)
   cards bench   [--quick] [--out FILE] [--core FILE]
                 (run the bench workloads and write the stable-schema
@@ -89,7 +89,7 @@ usage:
                 timelines, report per-shard gauges and per-request-class
                 SLO percentiles, reconstruct failover incident timelines;
                 --kill injects a primary kill at the quarter mark; --json
-                writes the stable-schema cards-fleet-v1 export; exits
+                writes the stable-schema cards-fleet-v2 export; exits
                 non-zero on any cross-sum or wire-bracket violation)
   cards failover [--workers N] [--shards N] [--keys N] [--tenants N]
                 [--ops N] [--train N] [--window N]
@@ -216,6 +216,17 @@ pub(crate) fn parse_policy(s: &str) -> Result<RemotingPolicy, String> {
     })
 }
 
+/// `--fault RATE`: the probability that a transport operation fails
+/// transiently, which must lie between 0 and 1 (default 0).
+pub(crate) fn parse_fault_rate(a: &Args) -> Result<f64, String> {
+    let rate: f64 = a.opt_num("fault", 0.0f64)?;
+    if (0.0..=1.0).contains(&rate) {
+        Ok(rate)
+    } else {
+        Err(format!("--fault: rate {rate} is not between 0 and 1"))
+    }
+}
+
 fn cmd_run(a: &Args) -> Result<(), String> {
     let m = load_module(a)?;
     let k: u32 = a.opt_num("k", 100u32)?;
@@ -278,7 +289,7 @@ fn run_instrumented(a: &Args) -> Result<Vm<FaultyTransport<SimTransport>>, Strin
     let k: u32 = a.opt_num("k", 100u32)?;
     let pinned: u64 = a.opt_num("pinned", 64u64 << 20)?;
     let cache: u64 = a.opt_num("cache", 16u64 << 20)?;
-    let fault: f64 = a.opt_num("fault", 0.0f64)?;
+    let fault = parse_fault_rate(a)?;
     let seed: u64 = a.opt_num("seed", 42u64)?;
     let policy = parse_policy(&a.opt_or("policy", "max-use"))?;
     let telemetry = TelemetryConfig {
@@ -861,6 +872,26 @@ mod tests {
 
         // bad format is rejected
         assert!(dispatch(&args(&format!("trace {p} --format xml"))).is_err());
+    }
+
+    #[test]
+    fn out_of_range_fault_rate_is_an_error() {
+        let dir = std::env::temp_dir().join("cards_cli_fault_rate");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kv.ir");
+        let (m, _) = cards_workloads::kvstore::build(cards_workloads::kvstore::KvParams {
+            keys: 16,
+            ops: 16,
+        });
+        std::fs::write(&path, print_module(&m)).unwrap();
+        let p = path.to_string_lossy().to_string();
+        for cmd in ["trace", "stats", "profile", "ttrace"] {
+            for rate in ["1.5", "-0.5", "nan"] {
+                let e = dispatch(&args(&format!("{cmd} {p} --fault {rate} --out /dev/null")))
+                    .unwrap_err();
+                assert!(e.contains("--fault"), "{cmd} --fault {rate}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (trace id, parent span), and renders the cluster report: per-request
 //! end-to-end timelines, per-shard gauges, SLO percentiles per request
 //! class, and reconstructed failover incident timelines. `--json FILE`
-//! writes the stable-schema `cards-fleet-v1` export. Exits non-zero if
+//! writes the stable-schema `cards-fleet-v2` export. Exits non-zero if
 //! any fleet invariant (cross-sum, wire bracket) is violated.
 
 use std::fs;
@@ -110,10 +110,10 @@ mod tests {
         )))
         .expect("fleet run");
         let export = std::fs::read_to_string(dir.join("fleet.json")).unwrap();
-        assert!(export.contains("\"schema\":\"cards-fleet-v1\""));
+        assert!(export.contains("\"schema\":\"cards-fleet-v2\""));
         assert!(export.contains("\"joined\":true"));
         let parsed = json::parse(&export).expect("valid json");
-        assert_eq!(parsed.str_of("schema"), "cards-fleet-v1");
+        assert_eq!(parsed.str_of("schema"), "cards-fleet-v2");
         assert!(!parsed.arr_of("timelines").is_empty());
         let report = std::fs::read_to_string(dir.join("fleet.txt")).unwrap();
         assert!(report.contains("== fleet: serving"));

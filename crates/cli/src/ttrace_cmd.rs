@@ -22,7 +22,7 @@ use cards_runtime::{RuntimeConfig, TraceConfig};
 use cards_vm::Vm;
 
 use crate::args::Args;
-use crate::commands::{load_module, parse_policy};
+use crate::commands::{load_module, parse_fault_rate, parse_policy};
 
 /// Entry point for the `ttrace` subcommand (run or diff).
 pub fn cmd_ttrace(a: &Args) -> Result<(), String> {
@@ -45,19 +45,18 @@ pub fn cmd_ttrace(a: &Args) -> Result<(), String> {
     let cfg = RuntimeConfig::new(pinned, cache)
         .with_trace(trace)
         .with_max_retries(a.opt_num("retries", 32u32)?);
+    let fault = parse_fault_rate(a)?;
+    let seed: u64 = a.opt_num("seed", 42u64)?;
     let c = compile(m, CompileOptions::cards()).map_err(|e| e.to_string())?;
 
     match a.opt_or("chaos", "none").as_str() {
         "none" => {
-            let fault: f64 = a.opt_num("fault", 0.0f64)?;
-            let seed: u64 = a.opt_num("seed", 42u64)?;
             let transport = FaultyTransport::new(SimTransport::default(), fault, seed);
             let mut vm = Vm::new(c.module, cfg, transport, policy, k);
             vm.run("main", &[]).map_err(|e| e.to_string())?;
             emit(a, &vm)
         }
         sched => {
-            let seed: u64 = a.opt_num("seed", 42u64)?;
             let schedule = match sched {
                 "storm" => ChaosSchedule::storm(seed),
                 "crash-loop" => ChaosSchedule::crash_loop(seed),
@@ -95,14 +94,14 @@ fn emit<T: Transport>(a: &Args, vm: &Vm<T>) -> Result<(), String> {
 }
 
 /// Load and schema-check one export; accepts the single-VM trace schema
-/// (`cards-ttrace-v1`) and the fleet export (`cards-fleet-v1`).
+/// (`cards-ttrace-v1`) and the fleet export (`cards-fleet-v2`).
 fn load_export(path: &str) -> Result<Json, String> {
     let src = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let j = json::parse(&src).map_err(|e| format!("{path}: {e}"))?;
     match j.str_of("schema") {
-        "cards-ttrace-v1" | "cards-fleet-v1" => Ok(j),
+        "cards-ttrace-v1" | "cards-fleet-v2" => Ok(j),
         other => Err(format!(
-            "{path}: expected cards-ttrace-v1 or cards-fleet-v1, got {other:?}"
+            "{path}: expected cards-ttrace-v1 or cards-fleet-v2, got {other:?}"
         )),
     }
 }
@@ -133,7 +132,7 @@ fn cmd_diff(a: &Args) -> Result<(), String> {
             jb.str_of("schema")
         ));
     }
-    if ja.str_of("schema") == "cards-fleet-v1" {
+    if ja.str_of("schema") == "cards-fleet-v2" {
         return diff_fleet(a, &pa, &pb, &ja, &jb);
     }
     let mut s = String::new();
@@ -286,7 +285,7 @@ fn cmd_diff(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `cards ttrace diff` over two `cards-fleet-v1` exports: compare the SLO
+/// `cards ttrace diff` over two `cards-fleet-v2` exports: compare the SLO
 /// section, per-shard server cycles, and cluster-wide phase totals, and
 /// name the shard and phase that regressed most (by absolute cycle
 /// growth).
@@ -527,7 +526,7 @@ mod tests {
         // grew, everything else is flat.
         let base = |shard1: u64, wire: u64| {
             format!(
-                "{{\"schema\":\"cards-fleet-v1\",\"module\":\"serving\",\"workers\":1,\
+                "{{\"schema\":\"cards-fleet-v2\",\"module\":\"serving\",\"workers\":1,\
                  \"shards\":2,\"replicas\":2,\"requests\":10,\"issued\":10,\
                  \"slo\":{{\"availability\":1.000000,\"classes\":[{{\"class\":\"all\",\
                  \"count\":10,\"p50\":100,\"p99\":200,\"p999\":200}}]}},\

@@ -29,7 +29,7 @@
 //! [`pressure_matrix`] are the presets behind `cards difftest`, `cards
 //! chaos` and `cards pressure`. It sums each cell's runtime counters and
 //! its modeled-cycle overhead over a clean twin, shrinks divergent seeds by
-//! delta debugging ([`minimize`]), and persists them as reproducers.
+//! delta debugging ([`minimize()`]), and persists them as reproducers.
 
 pub mod minimize;
 
@@ -106,7 +106,7 @@ pub enum TransportSpec {
     Clean,
     /// Independent transient faults ([`FaultyTransport`]).
     Faulty {
-        /// Probability in [0,1] that a fetch/put fails with `Transient`.
+        /// Probability in `[0, 1]` that a fetch/put fails with `Transient`.
         rate: f64,
         /// Seed for the fault PRNG.
         seed: u64,
@@ -521,7 +521,7 @@ pub fn observe(m: &Module, cfg: &RunConfig) -> (Observation, CellStats) {
 /// The replay-determinism cell: compiling the same program twice must yield
 /// an identical attribution-site table (site IDs are a function of the
 /// program, not of compile order), and running each compile once under
-/// [`REPLAY_CELL`] must emit byte-identical profile JSON and causal-trace
+/// one fixed cell (full CaRDS, max-use, Bernoulli faults) must emit byte-identical profile JSON and causal-trace
 /// export (`cards-ttrace-v1`), with the trace cross-sums intact. Profiles
 /// and spans are keyed off the modeled clock and deterministic ids, so a
 /// wall-clock or iteration-order leak shows up here as a byte diff — which
@@ -608,9 +608,10 @@ fn strip_fleet_counters(s: &str) -> String {
 }
 
 /// The fleet-determinism cell: two identical fault-free replicated serving
-/// runs must emit byte-identical `cards-fleet-v1` exports once the
-/// trailing `"counters"` subobject (shared tier tallies, the one
-/// interleaving-dependent region) is stripped. Any wall-clock timestamp,
+/// runs must emit byte-identical `cards-fleet-v2` exports once the
+/// trailing `"counters"` subobject (shared tier tallies and cumulative
+/// per-shard event counts, the one interleaving-dependent region) is
+/// stripped. Any wall-clock timestamp,
 /// thread-id, or map-iteration-order leak in the fleet collector shows up
 /// here as a byte diff.
 pub fn check_fleet_determinism() -> Result<(), String> {
@@ -1143,7 +1144,7 @@ mod tests {
     }
 
     /// The fleet-determinism cell holds: two identical replicated serving
-    /// runs emit byte-identical cards-fleet-v1 exports outside the stripped
+    /// runs emit byte-identical cards-fleet-v2 exports outside the stripped
     /// counters region.
     #[test]
     fn fleet_exports_are_replay_deterministic() {

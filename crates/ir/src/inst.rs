@@ -313,7 +313,8 @@ impl Inst {
     }
 
     /// Whether this instruction produces an SSA value usable by others.
-    /// (Requires module context for `Call`; see [`Inst::produces_value`].)
+    /// (A `Call` produces one only if its callee returns a value, which
+    /// takes module context to tell.)
     pub fn may_produce_value(&self) -> bool {
         !matches!(
             self,

@@ -13,7 +13,7 @@
 //! walks functions by index and blocks by position, so guard sites come out
 //! in (function, block, instruction) order; versioned-dispatch and
 //! prefetch-point sites are appended afterwards, again in index order.
-//! Compiling the same module with the same [`cards_passes`] options twice
+//! Compiling the same module with the same `cards_passes` options twice
 //! therefore yields an identical table — byte-identical profile output
 //! under replay is a difftest invariant.
 //!

@@ -36,7 +36,7 @@ use crate::model::NetworkModel;
 use crate::prng::SplitMix64;
 use crate::stats::NetStats;
 use crate::transport::{Fetched, NetError, ObjKey, Transport};
-use crate::wiretap::{TraceContext, WireDir, WireOp, WireTap};
+use crate::wiretap::TraceContext;
 
 /// One failure regime.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,7 +45,7 @@ pub enum ChaosPhase {
     Healthy,
     /// Each op fails `Transient` with probability `rate`.
     LossyBurst {
-        /// Loss probability in [0,1].
+        /// Loss probability in `[0, 1]`.
         rate: f64,
     },
     /// Ops succeed but cycle costs are multiplied by `mult`.
@@ -58,7 +58,7 @@ pub enum ChaosPhase {
     /// Each fetch suffers an in-flight bit flip with probability `rate`,
     /// surfacing as [`NetError::Corrupt`] via the envelope checksum.
     Corruption {
-        /// Corruption probability in [0,1].
+        /// Corruption probability in `[0, 1]`.
         rate: f64,
     },
     /// Server down (ops time out); unacknowledged objects are dropped at
@@ -256,7 +256,6 @@ pub struct ChaosTransport {
     stats: NetStats,
     chaos: ChaosStats,
     ctx: TraceContext,
-    tap: WireTap,
 }
 
 impl ChaosTransport {
@@ -281,7 +280,6 @@ impl ChaosTransport {
             stats: NetStats::default(),
             chaos: ChaosStats::default(),
             ctx: TraceContext::NONE,
-            tap: WireTap::default(),
         }
     }
 
@@ -361,32 +359,6 @@ impl ChaosTransport {
     }
 
     fn fetch_inner(&mut self, key: ObjKey, batched: bool) -> Result<Fetched, NetError> {
-        let op = if batched {
-            WireOp::FetchBatched
-        } else {
-            WireOp::Fetch
-        };
-        self.tap
-            .record(WireDir::Send, op, key.ds, key.index, 0, true, self.ctx);
-        let r = self.fetch_gated(key, batched);
-        match &r {
-            Ok(f) => self.tap.record(
-                WireDir::Recv,
-                op,
-                key.ds,
-                key.index,
-                f.bytes.len() as u64,
-                true,
-                self.ctx,
-            ),
-            Err(_) => self
-                .tap
-                .record(WireDir::Recv, op, key.ds, key.index, 0, false, self.ctx),
-        }
-        r
-    }
-
-    fn fetch_gated(&mut self, key: ObjKey, batched: bool) -> Result<Fetched, NetError> {
         let mult = self.gate()?;
         let Some(env) = self.store.get(&key) else {
             return Err(NetError::NotFound(key));
@@ -445,86 +417,37 @@ impl Transport for ChaosTransport {
     }
 
     fn put(&mut self, key: ObjKey, data: &[u8]) -> Result<u64, NetError> {
-        self.tap.record(
-            WireDir::Send,
-            WireOp::Put,
-            key.ds,
-            key.index,
-            data.len() as u64,
-            true,
-            self.ctx,
-        );
-        let r = (|| {
-            let mult = self.gate()?;
-            let env = envelope::encode(self.generation, key, self.ctx, data);
-            let cycles = mult * self.model.writeback_cost(env.len() as u64);
-            self.stats.writebacks += 1;
-            self.stats.bytes_written += data.len() as u64;
-            self.stats.cycles += cycles;
-            if let Some(old) = self.store.insert(key, env) {
-                self.resident_bytes -= (old.len() - envelope::HEADER_LEN) as u64;
-            }
-            self.resident_bytes += data.len() as u64;
-            self.unacked.insert(key);
-            Ok(cycles)
-        })();
-        self.tap.record(
-            WireDir::Recv,
-            WireOp::Put,
-            key.ds,
-            key.index,
-            0,
-            r.is_ok(),
-            self.ctx,
-        );
-        r
+        let mult = self.gate()?;
+        let env = envelope::encode(self.generation, key, self.ctx, data);
+        let cycles = mult * self.model.writeback_cost(env.len() as u64);
+        self.stats.writebacks += 1;
+        self.stats.bytes_written += data.len() as u64;
+        self.stats.cycles += cycles;
+        if let Some(old) = self.store.insert(key, env) {
+            self.resident_bytes -= (old.len() - envelope::HEADER_LEN) as u64;
+        }
+        self.resident_bytes += data.len() as u64;
+        self.unacked.insert(key);
+        Ok(cycles)
     }
 
     fn remove(&mut self, key: ObjKey) -> Result<u64, NetError> {
-        self.tap.record(
-            WireDir::Send,
-            WireOp::Remove,
-            key.ds,
-            key.index,
-            0,
-            true,
-            self.ctx,
-        );
-        let r = (|| {
-            let mult = self.gate()?;
-            if let Some(old) = self.store.remove(&key) {
-                self.resident_bytes -= (old.len() - envelope::HEADER_LEN) as u64;
-            }
-            self.unacked.remove(&key);
-            let cycles = mult * self.model.per_msg_cpu;
-            self.stats.cycles += cycles;
-            Ok(cycles)
-        })();
-        self.tap.record(
-            WireDir::Recv,
-            WireOp::Remove,
-            key.ds,
-            key.index,
-            0,
-            r.is_ok(),
-            self.ctx,
-        );
-        r
+        let mult = self.gate()?;
+        if let Some(old) = self.store.remove(&key) {
+            self.resident_bytes -= (old.len() - envelope::HEADER_LEN) as u64;
+        }
+        self.unacked.remove(&key);
+        let cycles = mult * self.model.per_msg_cpu;
+        self.stats.cycles += cycles;
+        Ok(cycles)
     }
 
     fn flush(&mut self) -> Result<u64, NetError> {
-        self.tap
-            .record(WireDir::Send, WireOp::Flush, 0, 0, 0, true, self.ctx);
-        let r = (|| {
-            let mult = self.gate()?;
-            self.unacked.clear();
-            let cycles = mult * (self.model.base_latency + self.model.per_msg_cpu);
-            self.stats.cycles += cycles;
-            Ok(cycles)
-        })();
-        self.tap
-            .record(WireDir::Recv, WireOp::Flush, 0, 0, 0, r.is_ok(), self.ctx);
-        r
+        let mult = self.gate()?;
+        self.unacked.clear();
+        let cycles = mult * (self.model.base_latency + self.model.per_msg_cpu);
+        self.stats.cycles += cycles;
+        Ok(cycles)
     }
 
     fn generation(&self) -> u64 {
@@ -549,10 +472,6 @@ impl Transport for ChaosTransport {
 
     fn trace_context(&self) -> TraceContext {
         self.ctx
-    }
-
-    fn wire_tap(&self) -> Option<&WireTap> {
-        Some(&self.tap)
     }
 }
 

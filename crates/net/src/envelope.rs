@@ -4,8 +4,8 @@
 //! server incarnation that stored it (the *generation*), the key it was
 //! stored under, and an FNV-1a checksum over all of it. The client side of
 //! the transport verifies the envelope on every fetch, so a torn or
-//! bit-flipped payload surfaces as [`NetError::Corrupt`] instead of being
-//! silently handed to the runtime as garbage.
+//! bit-flipped payload surfaces as [`crate::NetError::Corrupt`] instead of
+//! being silently handed to the runtime as garbage.
 //!
 //! Wire layout (little-endian):
 //!

@@ -8,7 +8,7 @@
 use crate::prng::SplitMix64;
 use crate::stats::NetStats;
 use crate::transport::{Fetched, NetError, ObjKey, Transport};
-use crate::wiretap::{TraceContext, WireTap};
+use crate::wiretap::TraceContext;
 
 /// Deterministic fault injector around an inner transport.
 pub struct FaultyTransport<T: Transport> {
@@ -100,10 +100,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 
     fn trace_context(&self) -> TraceContext {
         self.inner.trace_context()
-    }
-
-    fn wire_tap(&self) -> Option<&WireTap> {
-        self.inner.wire_tap()
     }
 }
 

@@ -1,5 +1,5 @@
 //! Fleet observability plane: server-side span log, per-shard gauges,
-//! failover incidents, and the shared replica-lifecycle event log.
+//! failover incidents, and per-shard replica-lifecycle event counts.
 //!
 //! The serving tier of [`crate::sharded`] charges every client a fully
 //! deterministic modeled cost per operation (see the determinism contract
@@ -21,12 +21,12 @@
 //!   *exactly*, where `residue` is the modeled link latency (and
 //!   read-your-writes buffer hits) that no server-side phase accounts
 //!   for. On fault-free runs the log is byte-identical across replays.
-//! - [`FleetEventLog`] (shared across clients and replica threads) is
-//!   **interleaving-dependent**: coalesce joins (who piggybacked on whose
-//!   fetch), hedge wins/wastes, journal ships, flush barriers, fence
-//!   rejects and TakeOver handshake phases as they actually happened.
-//!   Its contents are only ever exported under the strippable
-//!   `"counters"` region of `cards-fleet-v1` documents.
+//! - [`ShardEvents`] (counted by clients and replica threads alike) are
+//!   **interleaving-dependent**: coalesce joins, hedge wins/wastes,
+//!   journal ships, flush barriers, fence rejects and TakeOver drains as
+//!   they actually happened, cumulative since the tier spawned. They are
+//!   only ever exported under the strippable `"counters"` region of
+//!   `cards-fleet-v2` documents.
 //!
 //! [`FailoverIncident`]s sit in between: they are recorded client-side on
 //! the modeled clock and are empty on fault-free runs (so byte-identity
@@ -34,8 +34,7 @@
 //! reconstruct the takeover timeline demote → fence bump → handshake →
 //! drain → resume.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 
 use crate::histogram::Histogram;
 use crate::wiretap::TraceContext;
@@ -245,186 +244,7 @@ impl ServerSpanLog {
     }
 }
 
-/// One interleaving-dependent event observed by the tier as it actually
-/// ran: replica lifecycle (journal ship, barrier, fence reject, takeover
-/// phases) plus cross-client request outcomes (coalesce joins, hedge
-/// wins/wastes). Exported only under the strippable counters region.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FleetEvent {
-    /// The active replica shipped one journal epoch to its standby.
-    JournalShip {
-        /// Shard shipping.
-        shard: u32,
-        /// Shipping replica.
-        from: u32,
-        /// Ship epoch (cumulative `shipped` after the send).
-        epoch: u64,
-    },
-    /// A flush barrier completed on the serving replica.
-    FlushBarrier {
-        /// Shard flushed.
-        shard: u32,
-        /// Serving replica.
-        replica: u32,
-        /// Fence the flush carried.
-        fence: u64,
-    },
-    /// A write bounced off the fencing epoch (or a deposed replica).
-    FenceReject {
-        /// Shard rejecting.
-        shard: u32,
-        /// Rejecting replica.
-        replica: u32,
-        /// Fence the write carried.
-        stamped: u64,
-    },
-    /// A standby began the TakeOver handshake (request dequeued; by FIFO
-    /// order its shipped journal is already drained).
-    TakeOverDrained {
-        /// Shard taken over.
-        shard: u32,
-        /// Promoted replica.
-        replica: u32,
-    },
-    /// A fetch piggybacked on another client's in-flight wire transfer.
-    CoalesceJoin {
-        /// Shard of the coalesced key.
-        shard: u32,
-        /// Context of the leader whose transfer was joined.
-        leader: TraceContext,
-        /// Context of the follower that piggybacked.
-        follower: TraceContext,
-    },
-    /// A hedged read was answered by the backup first.
-    HedgeWin {
-        /// Shard hedged.
-        shard: u32,
-        /// Replica that answered.
-        from: u32,
-    },
-    /// A hedged read the primary answered first anyway (wasted).
-    HedgeWaste {
-        /// Shard hedged.
-        shard: u32,
-    },
-}
-
-impl FleetEvent {
-    /// Stable snake_case name for exports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FleetEvent::JournalShip { .. } => "journal_ship",
-            FleetEvent::FlushBarrier { .. } => "flush_barrier",
-            FleetEvent::FenceReject { .. } => "fence_reject",
-            FleetEvent::TakeOverDrained { .. } => "takeover_drained",
-            FleetEvent::CoalesceJoin { .. } => "coalesce_join",
-            FleetEvent::HedgeWin { .. } => "hedge_win",
-            FleetEvent::HedgeWaste { .. } => "hedge_waste",
-        }
-    }
-
-    /// The shard the event concerns.
-    pub fn shard(&self) -> u32 {
-        match *self {
-            FleetEvent::JournalShip { shard, .. }
-            | FleetEvent::FlushBarrier { shard, .. }
-            | FleetEvent::FenceReject { shard, .. }
-            | FleetEvent::TakeOverDrained { shard, .. }
-            | FleetEvent::CoalesceJoin { shard, .. }
-            | FleetEvent::HedgeWin { shard, .. }
-            | FleetEvent::HedgeWaste { shard } => shard,
-        }
-    }
-}
-
-struct FleetEventRing {
-    ring: VecDeque<(u64, FleetEvent)>,
-    seq: u64,
-    dropped: u64,
-}
-
-/// Bounded shared ring of [`FleetEvent`]s, written by replica threads and
-/// clients alike. A full ring drops the oldest event (counted), mirroring
-/// the telemetry event-ring and [`crate::wiretap::WireTap`] accounting.
-pub struct FleetEventLog {
-    inner: Mutex<FleetEventRing>,
-    capacity: usize,
-}
-
-/// Default fleet-event ring capacity.
-pub const DEFAULT_EVENT_LOG_CAPACITY: usize = 4096;
-
-impl Default for FleetEventLog {
-    fn default() -> Self {
-        FleetEventLog::new(DEFAULT_EVENT_LOG_CAPACITY)
-    }
-}
-
-impl FleetEventLog {
-    /// Create a ring retaining at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        FleetEventLog {
-            inner: Mutex::new(FleetEventRing {
-                ring: VecDeque::new(),
-                seq: 0,
-                dropped: 0,
-            }),
-            capacity,
-        }
-    }
-
-    /// Append one event (stamping its arrival sequence number).
-    pub fn push(&self, ev: FleetEvent) {
-        let mut g = self.inner.lock().expect("fleet event lock");
-        let seq = g.seq;
-        g.seq += 1;
-        if self.capacity == 0 {
-            g.dropped += 1;
-            return;
-        }
-        if g.ring.len() >= self.capacity {
-            g.ring.pop_front();
-            g.dropped += 1;
-        }
-        g.ring.push_back((seq, ev));
-    }
-
-    /// Snapshot the retained events, oldest first.
-    pub fn recent(&self) -> Vec<(u64, FleetEvent)> {
-        self.inner
-            .lock()
-            .expect("fleet event lock")
-            .ring
-            .iter()
-            .copied()
-            .collect()
-    }
-
-    /// Aggregate retained events into per-shard per-kind counts.
-    pub fn summary(&self) -> FleetEventSummary {
-        let g = self.inner.lock().expect("fleet event lock");
-        let mut per_shard: BTreeMap<u32, ShardEvents> = BTreeMap::new();
-        for (_, ev) in &g.ring {
-            let e = per_shard.entry(ev.shard()).or_default();
-            match ev {
-                FleetEvent::JournalShip { .. } => e.journal_ships += 1,
-                FleetEvent::FlushBarrier { .. } => e.flush_barriers += 1,
-                FleetEvent::FenceReject { .. } => e.fence_rejects += 1,
-                FleetEvent::TakeOverDrained { .. } => e.takeover_drains += 1,
-                FleetEvent::CoalesceJoin { .. } => e.coalesce_joins += 1,
-                FleetEvent::HedgeWin { .. } => e.hedge_wins += 1,
-                FleetEvent::HedgeWaste { .. } => e.hedge_wastes += 1,
-            }
-        }
-        FleetEventSummary {
-            total: g.seq,
-            dropped: g.dropped,
-            per_shard,
-        }
-    }
-}
-
-/// Per-shard event tallies (interleaving-dependent).
+/// Per-shard event tallies since the tier spawned (interleaving-dependent).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardEvents {
     /// Journal epochs shipped primary → backup.
@@ -443,15 +263,17 @@ pub struct ShardEvents {
     pub hedge_wastes: u64,
 }
 
-/// Aggregated view of the event ring, carried in serving reports.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FleetEventSummary {
-    /// Events ever pushed (including dropped ones).
-    pub total: u64,
-    /// Events dropped because the ring was full.
-    pub dropped: u64,
-    /// Per-shard per-kind tallies over the retained window.
-    pub per_shard: BTreeMap<u32, ShardEvents>,
+impl ShardEvents {
+    /// Events of every kind.
+    pub fn total(&self) -> u64 {
+        self.journal_ships
+            + self.flush_barriers
+            + self.fence_rejects
+            + self.takeover_drains
+            + self.coalesce_joins
+            + self.hedge_wins
+            + self.hedge_wastes
+    }
 }
 
 #[cfg(test)]
@@ -507,28 +329,6 @@ mod tests {
         assert_eq!(h.p99(), 64, "the 100 sits in [64,128)");
         assert_eq!(h.percentile(1.0), 100, "max rank is the exact max");
         assert_eq!(ShardGauges::default().queue_depth.p50(), 0);
-    }
-
-    #[test]
-    fn event_ring_bounds_and_summarizes() {
-        let log = FleetEventLog::new(3);
-        for i in 0..5 {
-            log.push(FleetEvent::JournalShip {
-                shard: (i % 2) as u32,
-                from: 0,
-                epoch: i,
-            });
-        }
-        log.push(FleetEvent::HedgeWaste { shard: 1 });
-        let s = log.summary();
-        assert_eq!(s.total, 6);
-        assert_eq!(s.dropped, 3);
-        let ships: u64 = s.per_shard.values().map(|e| e.journal_ships).sum();
-        assert_eq!(ships, 2, "only the retained window is tallied");
-        assert_eq!(s.per_shard[&1].hedge_wastes, 1);
-        let recent = log.recent();
-        assert_eq!(recent.len(), 3);
-        assert_eq!(recent[0].0, 3, "oldest retained seq");
     }
 
     #[test]

@@ -9,9 +9,6 @@
 //!
 //! - [`SimTransport`] — in-process hash-map server; deterministic, used by
 //!   all benchmarks and figure reproductions.
-//! - [`ThreadedTransport`] — the same server on its own OS thread behind
-//!   bounded std channels (the "two machines" configuration), used in tests
-//!   that exercise a real cross-thread path.
 //! - [`FaultyTransport`] — deterministic fault injection for failure tests.
 //! - [`ChaosTransport`] — a server driven through a deterministic schedule
 //!   of failure phases (loss bursts, latency spikes, partitions, payload
@@ -19,7 +16,8 @@
 //! - [`ShardedServer`]/[`ShardedClient`] — N shard replica sets behind one
 //!   transport facade serving many concurrent worker VMs, with fetch
 //!   coalescing, batched windowed writeback trains, primary→backup journal
-//!   shipping, epoch-fenced failover and hedged reads ([`replica`]).
+//!   shipping, epoch-fenced failover and hedged reads ([`replica`]). Its
+//!   replica threads are the cross-thread server every serving path runs.
 //!
 //! It also holds what every layer above shares: the one log2
 //! [`Histogram`] and the [`json`] writer and reader behind every export.
@@ -35,15 +33,14 @@ pub mod prng;
 pub mod replica;
 pub mod sharded;
 pub mod stats;
-pub mod threaded;
 pub mod transport;
 pub mod wiretap;
 
 pub use chaos::{ChaosPhase, ChaosSchedule, ChaosStats, ChaosTransport, ScheduledPhase};
 pub use fault::FaultyTransport;
 pub use fleet::{
-    FailoverIncident, FleetEvent, FleetEventLog, FleetEventSummary, ServerSpan, ServerSpanKind,
-    ServerSpanLog, ShardEvents, ShardGauges, INCIDENT_PHASES,
+    FailoverIncident, ServerSpan, ServerSpanKind, ServerSpanLog, ShardEvents, ShardGauges,
+    INCIDENT_PHASES,
 };
 pub use histogram::Histogram;
 pub use model::NetworkModel;
@@ -51,6 +48,5 @@ pub use prng::SplitMix64;
 pub use replica::ReplicaConfig;
 pub use sharded::{ShardedClient, ShardedConfig, ShardedServer, ShardedStats, StallGuard};
 pub use stats::NetStats;
-pub use threaded::ThreadedTransport;
 pub use transport::{FaultEvents, Fetched, NetError, ObjKey, SimTransport, Transport};
-pub use wiretap::{TraceContext, WireDir, WireOp, WireRecord, WireTap};
+pub use wiretap::{TraceContext, WireTap};

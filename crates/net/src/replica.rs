@@ -4,7 +4,7 @@
 //! Each shard of [`crate::sharded::ShardedServer`] is a *replica set*:
 //! one active primary plus (by default) one standby backup. The primary
 //! applies every write locally and *ships* it to the backup as an
-//! epoch-numbered [`ShipDelta`] before acknowledging the client — the
+//! epoch-numbered `ShipDelta` before acknowledging the client — the
 //! shipped stream is exactly the primary's dirty-writeback journal
 //! (trains, removes, durability barriers), so the backup replays the
 //! same envelope trains the writeback path batches. Shipping is
@@ -22,7 +22,7 @@
 //! carries the fence its client read at send time, and a replica
 //! rejects writes whose fence is stale or that arrive while it is not
 //! the active replica. Ships are fenced by sender: a replica applies a
-//! [`ReplicaRequest::Replicate`] only if the sender is still the active
+//! `ReplicaRequest::Replicate` only if the sender is still the active
 //! replica — a zombie ship from a deposed primary still bumps the
 //! applied epoch (so replication barriers cannot wedge) but never
 //! touches the store.
@@ -34,7 +34,7 @@
 //!    (another client may have already completed the takeover);
 //! 2. bump `fencing_epoch` — writes stamped with the old fence bounce
 //!    from every replica from this point on;
-//! 3. send [`ReplicaRequest::TakeOver`] to the standby. FIFO channel
+//! 3. send `ReplicaRequest::TakeOver` to the standby. FIFO channel
 //!    order guarantees every delta the old primary shipped before dying
 //!    is applied before the ack — the backup replays its shipped
 //!    journal as part of the handshake;
@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::fleet::{FleetEvent, FleetEventLog};
+use crate::fleet::ShardEvents;
 use crate::transport::ObjKey;
 
 /// Replication knobs for the sharded tier.
@@ -112,6 +112,8 @@ pub(crate) struct ReplicaShared {
     pub alive: Vec<AtomicBool>,
     /// Serializes the takeover handshake across clients.
     pub failover_lock: Mutex<()>,
+    /// Interleaving-dependent event tallies for this shard.
+    pub events: EventCounters,
 }
 
 impl ReplicaShared {
@@ -124,6 +126,7 @@ impl ReplicaShared {
             applied: AtomicU64::new(0),
             alive: (0..replicas).map(|_| AtomicBool::new(true)).collect(),
             failover_lock: Mutex::new(()),
+            events: EventCounters::default(),
         }
     }
 
@@ -219,6 +222,34 @@ pub(crate) struct SharedCounters {
     pub shipped_epochs: AtomicU64,
 }
 
+/// Per-shard event counters (shared, atomic), bumped where replica
+/// threads and clients observe each event; snapshotted into
+/// [`ShardEvents`].
+#[derive(Default)]
+pub(crate) struct EventCounters {
+    pub journal_ships: AtomicU64,
+    pub flush_barriers: AtomicU64,
+    pub fence_rejects: AtomicU64,
+    pub takeover_drains: AtomicU64,
+    pub coalesce_joins: AtomicU64,
+    pub hedge_wins: AtomicU64,
+    pub hedge_wastes: AtomicU64,
+}
+
+impl EventCounters {
+    pub(crate) fn snapshot(&self) -> ShardEvents {
+        ShardEvents {
+            journal_ships: self.journal_ships.load(Ordering::Relaxed),
+            flush_barriers: self.flush_barriers.load(Ordering::Relaxed),
+            fence_rejects: self.fence_rejects.load(Ordering::Relaxed),
+            takeover_drains: self.takeover_drains.load(Ordering::Relaxed),
+            coalesce_joins: self.coalesce_joins.load(Ordering::Relaxed),
+            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
+            hedge_wastes: self.hedge_wastes.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// Handles for one shard's replica set: request channels, shared state,
 /// and join handles (mutexed so kills work through `&self`).
 pub(crate) struct ReplicaSet {
@@ -242,15 +273,12 @@ impl ReplicaSet {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn replica_loop(
-    shard: u32,
     my_idx: usize,
     rx: Receiver<ReplicaRequest>,
     mut peer: Option<(usize, SyncSender<ReplicaRequest>)>,
     shared: Arc<ReplicaShared>,
     counters: Arc<SharedCounters>,
-    events: Arc<FleetEventLog>,
     cfg: ReplicaConfig,
 ) {
     let mut store: HashMap<ObjKey, Vec<u8>> = HashMap::new();
@@ -276,7 +304,7 @@ pub(crate) fn replica_loop(
             *peer = None;
             return;
         }
-        let epoch = shared.shipped.fetch_add(1, Ordering::SeqCst) + 1;
+        shared.shipped.fetch_add(1, Ordering::SeqCst);
         if tx
             .send(ReplicaRequest::Replicate {
                 from: my_idx,
@@ -289,11 +317,7 @@ pub(crate) fn replica_loop(
             return;
         }
         counters.shipped_epochs.fetch_add(1, Ordering::Relaxed);
-        events.push(FleetEvent::JournalShip {
-            shard,
-            from: my_idx as u32,
-            epoch,
-        });
+        shared.events.journal_ships.fetch_add(1, Ordering::Relaxed);
         while shared.shipped.load(Ordering::SeqCst) - shared.applied.load(Ordering::SeqCst)
             > cfg.max_ship_lag
         {
@@ -333,11 +357,7 @@ pub(crate) fn replica_loop(
             ReplicaRequest::Train { objs, fence, reply } => {
                 if fenced(fence) {
                     counters.fenced_writes.fetch_add(1, Ordering::Relaxed);
-                    events.push(FleetEvent::FenceReject {
-                        shard,
-                        replica: my_idx as u32,
-                        stamped: fence,
-                    });
+                    shared.events.fence_rejects.fetch_add(1, Ordering::Relaxed);
                     let _ = reply.send(ReplicaResponse::Fenced);
                     continue;
                 }
@@ -352,11 +372,7 @@ pub(crate) fn replica_loop(
             ReplicaRequest::Remove { key, fence, reply } => {
                 if fenced(fence) {
                     counters.fenced_writes.fetch_add(1, Ordering::Relaxed);
-                    events.push(FleetEvent::FenceReject {
-                        shard,
-                        replica: my_idx as u32,
-                        stamped: fence,
-                    });
+                    shared.events.fence_rejects.fetch_add(1, Ordering::Relaxed);
                     let _ = reply.send(ReplicaResponse::Fenced);
                     continue;
                 }
@@ -376,11 +392,7 @@ pub(crate) fn replica_loop(
             ReplicaRequest::FlushAck { fence, reply } => {
                 if fenced(fence) {
                     counters.fenced_writes.fetch_add(1, Ordering::Relaxed);
-                    events.push(FleetEvent::FenceReject {
-                        shard,
-                        replica: my_idx as u32,
-                        stamped: fence,
-                    });
+                    shared.events.fence_rejects.fetch_add(1, Ordering::Relaxed);
                     let _ = reply.send(ReplicaResponse::Fenced);
                     continue;
                 }
@@ -399,11 +411,7 @@ pub(crate) fn replica_loop(
                         std::thread::yield_now();
                     }
                 }
-                events.push(FleetEvent::FlushBarrier {
-                    shard,
-                    replica: my_idx as u32,
-                    fence,
-                });
+                shared.events.flush_barriers.fetch_add(1, Ordering::Relaxed);
                 let _ = reply.send(ReplicaResponse::Done);
             }
             ReplicaRequest::Digest(reply) => {
@@ -455,10 +463,10 @@ pub(crate) fn replica_loop(
                 // FIFO order means every ship the old primary enqueued
                 // before dying has already been applied above — the shipped
                 // journal is replayed by the time this ack leaves.
-                events.push(FleetEvent::TakeOverDrained {
-                    shard,
-                    replica: my_idx as u32,
-                });
+                shared
+                    .events
+                    .takeover_drains
+                    .fetch_add(1, Ordering::Relaxed);
                 let _ = reply.send(ReplicaResponse::Done);
             }
             ReplicaRequest::Shutdown => break,

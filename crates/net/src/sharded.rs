@@ -1,9 +1,9 @@
 //! Sharded remote tier: N shard server threads behind one [`Transport`]
 //! facade, serving many concurrent worker VMs.
 //!
-//! Grown from the [`crate::threaded`] seam ("two machines" over bounded
-//! channels), this module adds the concurrent data plane of the serving
-//! story:
+//! Requests and responses travel over bounded std channels, which play the
+//! role of the RDMA link between machines. On top of that seam this module
+//! builds the concurrent data plane of the serving story:
 //!
 //! - **Sharding** — objects hash to one of N shards, each owning an
 //!   independent store, generation counter and unacked set (the crash
@@ -46,7 +46,7 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::fleet::{
-    FailoverIncident, FleetEvent, FleetEventLog, ServerSpan, ServerSpanKind, ServerSpanLog,
+    FailoverIncident, ServerSpan, ServerSpanKind, ServerSpanLog, ShardEvents,
     DEFAULT_SPAN_LOG_CAPACITY,
 };
 use crate::model::NetworkModel;
@@ -55,7 +55,7 @@ use crate::replica::{
 };
 use crate::stats::NetStats;
 use crate::transport::{FaultEvents, Fetched, NetError, ObjKey, Transport};
-use crate::wiretap::{TraceContext, WireDir, WireOp, WireTap, DEFAULT_TAP_CAPACITY};
+use crate::wiretap::TraceContext;
 
 /// Upper bound on fence/failover retries per logical operation before the
 /// client gives up with [`NetError::Disconnected`].
@@ -71,9 +71,6 @@ pub struct ShardedConfig {
     /// Max unacknowledged trains per shard before a put blocks on the
     /// oldest ack (the outstanding-request window).
     pub window: usize,
-    /// Per-client [`WireTap`] ring capacity (0 disables retention; drops
-    /// are still counted per op).
-    pub tap_capacity: usize,
     /// Per-client [`ServerSpanLog`] capacity (overflowing spans fold
     /// their cycles into the residue).
     pub span_log_capacity: usize,
@@ -87,7 +84,6 @@ impl Default for ShardedConfig {
             shards: 4,
             train_len: 8,
             window: 4,
-            tap_capacity: DEFAULT_TAP_CAPACITY,
             span_log_capacity: DEFAULT_SPAN_LOG_CAPACITY,
             replica: ReplicaConfig::default(),
         }
@@ -149,23 +145,11 @@ impl SharedCounters {
 }
 
 /// One in-flight fetch the coalescer tracks: followers block on the
-/// condvar until the leader publishes the result. The leader's causal
-/// context is retained so a joining follower can record who it
-/// piggybacked on (interleaving-dependent: event-log only).
+/// condvar until the leader publishes the result.
+#[derive(Default)]
 struct Inflight {
     done: Mutex<Option<Result<Vec<u8>, NetError>>>,
     cv: Condvar,
-    leader_ctx: TraceContext,
-}
-
-impl Inflight {
-    fn new(leader_ctx: TraceContext) -> Self {
-        Inflight {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-            leader_ctx,
-        }
-    }
 }
 
 #[derive(Default)]
@@ -179,7 +163,6 @@ pub struct ShardedServer {
     sets: Vec<ReplicaSet>,
     counters: Arc<SharedCounters>,
     coalescer: Arc<Coalescer>,
-    events: Arc<FleetEventLog>,
     model: NetworkModel,
     cfg: ShardedConfig,
 }
@@ -200,7 +183,6 @@ impl ShardedServer {
     /// Spawn `cfg.shards` replica sets with the given cost model.
     pub fn spawn(cfg: ShardedConfig, model: NetworkModel) -> Self {
         let counters = Arc::new(SharedCounters::default());
-        let events = Arc::new(FleetEventLog::default());
         let replicas = cfg.replica.replica_count();
         let sets = (0..cfg.shards.max(1))
             .map(|shard| {
@@ -221,22 +203,10 @@ impl ShardedServer {
                         };
                         let shared = Arc::clone(&shared);
                         let counters = Arc::clone(&counters);
-                        let events = Arc::clone(&events);
                         let replica_cfg = cfg.replica;
                         let join = std::thread::Builder::new()
                             .name(format!("cards-shard-{shard}-r{r}"))
-                            .spawn(move || {
-                                replica_loop(
-                                    shard as u32,
-                                    r,
-                                    rx,
-                                    peer,
-                                    shared,
-                                    counters,
-                                    events,
-                                    replica_cfg,
-                                )
-                            })
+                            .spawn(move || replica_loop(r, rx, peer, shared, counters, replica_cfg))
                             .expect("spawn shard replica");
                         Mutex::new(Some(join))
                     })
@@ -248,7 +218,6 @@ impl ShardedServer {
             sets,
             counters,
             coalescer: Arc::new(Coalescer::default()),
-            events,
             model,
             cfg,
         }
@@ -279,13 +248,11 @@ impl ShardedServer {
                 .collect(),
             coalescer: Arc::clone(&self.coalescer),
             counters: Arc::clone(&self.counters),
-            events: Arc::clone(&self.events),
             model: self.model,
             cfg: self.cfg,
             stats: NetStats::default(),
             pending_faults: Cell::new(FaultEvents::default()),
             ctx: TraceContext::NONE,
-            tap: WireTap::new(self.cfg.tap_capacity),
             slog: ServerSpanLog::new(self.cfg.span_log_capacity),
             incidents: RefCell::new(Vec::new()),
         }
@@ -296,10 +263,16 @@ impl ShardedServer {
         self.counters.snapshot()
     }
 
-    /// The shared replica-lifecycle / cross-client event log
-    /// (interleaving-dependent; counters-region truth only).
-    pub fn fleet_events(&self) -> &FleetEventLog {
-        &self.events
+    /// Per-shard replica-lifecycle and cross-client event tallies since
+    /// spawn (interleaving-dependent; counters-region truth only). Shards
+    /// that saw no event are left out.
+    pub fn fleet_events(&self) -> BTreeMap<u32, ShardEvents> {
+        self.sets
+            .iter()
+            .enumerate()
+            .map(|(shard, set)| (shard as u32, set.shared.events.snapshot()))
+            .filter(|(_, e)| e.total() > 0)
+            .collect()
     }
 
     fn control(
@@ -474,7 +447,6 @@ pub struct ShardedClient {
     shards: Vec<ClientShard>,
     coalescer: Arc<Coalescer>,
     counters: Arc<SharedCounters>,
-    events: Arc<FleetEventLog>,
     model: NetworkModel,
     cfg: ShardedConfig,
     stats: NetStats,
@@ -482,9 +454,6 @@ pub struct ShardedClient {
     /// them (failovers it initiated, hedges it sent, fences it hit).
     pending_faults: Cell<FaultEvents>,
     ctx: TraceContext,
-    /// Client-edge wire tap (deterministic per client, like the modeled
-    /// stats: one send/recv pair per facade operation).
-    tap: WireTap,
     /// Deterministic server-side decomposition of every modeled charge.
     slog: ServerSpanLog,
     /// Takeovers this client performed, on its modeled clock (interior
@@ -511,11 +480,6 @@ impl ShardedClient {
     /// Takeovers this client performed, in the order it performed them.
     pub fn incidents(&self) -> Vec<FailoverIncident> {
         self.incidents.borrow().clone()
-    }
-
-    /// The shared fleet event log this client reports joins/hedges into.
-    pub fn fleet_events(&self) -> &FleetEventLog {
-        &self.events
     }
 
     /// Record one server-side span under the current context and fold it
@@ -700,14 +664,15 @@ impl ShardedClient {
                                                     .hedge_wasted
                                                     .fetch_add(1, Ordering::Relaxed);
                                                 self.note_fault(|ev| ev.hedge_wasted += 1);
-                                                self.events.push(FleetEvent::HedgeWaste {
-                                                    shard: shard as u32,
-                                                });
+                                                set.shared
+                                                    .events
+                                                    .hedge_wastes
+                                                    .fetch_add(1, Ordering::Relaxed);
                                             } else {
-                                                self.events.push(FleetEvent::HedgeWin {
-                                                    shard: shard as u32,
-                                                    from: *from as u32,
-                                                });
+                                                set.shared
+                                                    .events
+                                                    .hedge_wins
+                                                    .fetch_add(1, Ordering::Relaxed);
                                             }
                                         }
                                         Ok(r)
@@ -756,7 +721,7 @@ impl ShardedClient {
             match map.entry(key) {
                 std::collections::hash_map::Entry::Occupied(e) => (Arc::clone(e.get()), false),
                 std::collections::hash_map::Entry::Vacant(v) => {
-                    let e = Arc::new(Inflight::new(self.ctx));
+                    let e = Arc::new(Inflight::default());
                     v.insert(Arc::clone(&e));
                     (e, true)
                 }
@@ -777,14 +742,14 @@ impl ShardedClient {
             result
         } else {
             self.counters.coalesced_hits.fetch_add(1, Ordering::Relaxed);
-            // Who led vs who joined is interleaving truth: record it in
-            // the shared event log only, never in the per-client span log
+            // Who led vs who joined is interleaving truth: count it in the
+            // shard's event tallies only, never in the per-client span log
             // (whose decomposition must be identical either way).
-            self.events.push(FleetEvent::CoalesceJoin {
-                shard: self.shard_of(key) as u32,
-                leader: entry.leader_ctx,
-                follower: self.ctx,
-            });
+            self.shards[self.shard_of(key)]
+                .shared
+                .events
+                .coalesce_joins
+                .fetch_add(1, Ordering::Relaxed);
             let mut done = entry.done.lock().expect("inflight lock");
             while done.is_none() {
                 done = entry.cv.wait(done).expect("inflight wait");
@@ -795,11 +760,6 @@ impl ShardedClient {
 
     fn fetch_inner(&mut self, key: ObjKey, batched: bool) -> Result<Fetched, NetError> {
         let shard = self.shard_of(key);
-        let op = if batched {
-            WireOp::FetchBatched
-        } else {
-            WireOp::Fetch
-        };
         // Read-your-writes: a buffered put not yet departed must serve
         // fetches (the runtime refetches objects it just evicted).
         if let Some(bytes) = self.shards[shard].buf.get(&key) {
@@ -815,16 +775,7 @@ impl ShardedClient {
             self.slog.gauges(shard as u32).ops += 1;
             return Ok(Fetched { bytes, cycles });
         }
-        self.tap
-            .record(WireDir::Send, op, key.ds, key.index, 0, true, self.ctx);
-        let bytes = match self.coalesced_fetch(key) {
-            Ok(b) => b,
-            Err(e) => {
-                self.tap
-                    .record(WireDir::Recv, op, key.ds, key.index, 0, false, self.ctx);
-                return Err(e);
-            }
-        };
+        let bytes = self.coalesced_fetch(key)?;
         // Leader or follower, hedged or not, the modeled charge is
         // identical: the modeled clock is per-worker virtual time, so
         // accounting must not depend on which thread or replica won the
@@ -837,15 +788,6 @@ impl ShardedClient {
         self.stats.fetches += 1;
         self.stats.bytes_fetched += bytes.len() as u64;
         self.stats.cycles += cycles;
-        self.tap.record(
-            WireDir::Recv,
-            op,
-            key.ds,
-            key.index,
-            bytes.len() as u64,
-            true,
-            self.ctx,
-        );
         // Decompose the charge into server-side phases: queue wait (zero
         // modeled cycles; depth = this client's outstanding trains),
         // replica apply CPU, and wire serialization. Demand fetches also
@@ -1011,15 +953,6 @@ impl Transport for ShardedClient {
         self.stats.writebacks += 1;
         self.stats.bytes_written += data.len() as u64;
         self.stats.cycles += cycles;
-        self.tap.record(
-            WireDir::Send,
-            WireOp::Put,
-            key.ds,
-            key.index,
-            data.len() as u64,
-            true,
-            self.ctx,
-        );
         // Train membership: the put's wire serialization is its share of
         // the train it will ride, attributed to the issuing context now.
         self.slog.charge(cycles);
@@ -1035,72 +968,29 @@ impl Transport for ShardedClient {
         if self.shards[shard].buf.len() >= self.cfg.train_len.max(1) {
             cycles += self.depart_train(shard)?;
         }
-        self.tap.record(
-            WireDir::Recv,
-            WireOp::Put,
-            key.ds,
-            key.index,
-            0,
-            true,
-            self.ctx,
-        );
         Ok(cycles)
     }
 
     fn remove(&mut self, key: ObjKey) -> Result<u64, NetError> {
         let shard = self.shard_of(key);
         self.shards[shard].buf.remove(&key);
-        self.tap.record(
-            WireDir::Send,
-            WireOp::Remove,
-            key.ds,
-            key.index,
-            0,
-            true,
-            self.ctx,
-        );
         match self.call(shard, |fence, tx| ReplicaRequest::Remove {
             key,
             fence,
             reply: tx,
-        }) {
-            Ok(ReplicaResponse::Done) => {
+        })? {
+            ReplicaResponse::Done => {
                 self.stats.cycles += self.model.per_msg_cpu;
                 self.slog.charge(self.model.per_msg_cpu);
                 self.span(shard, ServerSpanKind::Apply, self.model.per_msg_cpu, 0, 0);
                 self.slog.gauges(shard as u32).ops += 1;
-                self.tap.record(
-                    WireDir::Recv,
-                    WireOp::Remove,
-                    key.ds,
-                    key.index,
-                    0,
-                    true,
-                    self.ctx,
-                );
                 Ok(self.model.per_msg_cpu)
             }
-            other => {
-                self.tap.record(
-                    WireDir::Recv,
-                    WireOp::Remove,
-                    key.ds,
-                    key.index,
-                    0,
-                    false,
-                    self.ctx,
-                );
-                match other {
-                    Err(e) => Err(e),
-                    _ => Err(NetError::Disconnected),
-                }
-            }
+            _ => Err(NetError::Disconnected),
         }
     }
 
     fn flush(&mut self) -> Result<u64, NetError> {
-        self.tap
-            .record(WireDir::Send, WireOp::Flush, 0, 0, 0, true, self.ctx);
         let mut cycles = 0;
         for shard in 0..self.shards.len() {
             cycles += self.depart_train(shard)?;
@@ -1130,8 +1020,6 @@ impl Transport for ShardedClient {
             self.shards.len() as u64,
         );
         self.slog.add_residue(self.model.base_latency);
-        self.tap
-            .record(WireDir::Recv, WireOp::Flush, 0, 0, 0, true, self.ctx);
         Ok(cycles)
     }
 
@@ -1179,10 +1067,6 @@ impl Transport for ShardedClient {
 
     fn trace_context(&self) -> TraceContext {
         self.ctx
-    }
-
-    fn wire_tap(&self) -> Option<&WireTap> {
-        Some(&self.tap)
     }
 }
 
@@ -1573,36 +1457,8 @@ mod tests {
         assert_eq!(inc.fence, 1);
         assert_eq!((inc.from, inc.to), (0, 1));
         assert_eq!(inc.trace, 77, "incident carries the in-force trace id");
-        // The takeover handshake drained on the standby and was logged.
-        let summary = srv.fleet_events().summary();
-        assert_eq!(summary.per_shard[&0].takeover_drains, 1);
-    }
-
-    #[test]
-    fn client_tap_records_facade_operations() {
-        let srv = ShardedServer::spawn(
-            ShardedConfig {
-                shards: 1,
-                tap_capacity: 4,
-                ..ShardedConfig::default()
-            },
-            NetworkModel::default(),
-        );
-        let mut c = srv.client();
-        let ctx = TraceContext { trace: 5, span: 1 };
-        c.set_trace_context(ctx);
-        for i in 0..8u64 {
-            c.put(key(0, i), &[1u8; 32]).unwrap();
-        }
-        c.flush().unwrap();
-        let tap = c.wire_tap().unwrap();
-        assert_eq!(tap.len(), 4, "ring stays at its configured cap");
-        assert!(tap.dropped() > 0);
-        assert!(
-            tap.dropped_of(WireOp::Put) > 0,
-            "drops are attributed per op"
-        );
-        assert!(tap.records().all(|r| r.ctx == ctx));
+        // The takeover handshake drained on the standby and was counted.
+        assert_eq!(srv.fleet_events()[&0].takeover_drains, 1);
     }
 
     #[test]
@@ -1613,11 +1469,34 @@ mod tests {
             c.put(key(0, i), &[2u8; 64]).unwrap();
         }
         c.flush().unwrap();
-        let summary = srv.fleet_events().summary();
-        let e = &summary.per_shard[&0];
+        let e = srv.fleet_events()[&0];
         assert!(e.journal_ships >= 2, "trains + barrier ship to the backup");
         assert_eq!(e.flush_barriers, 1);
-        assert_eq!(summary.dropped, 0);
+    }
+
+    #[test]
+    fn event_counts_stay_exact_past_4096_events() {
+        // One-object trains: every put ships one journal epoch, and the
+        // flush ships one more and completes one barrier.
+        let srv = ShardedServer::spawn(
+            ShardedConfig {
+                shards: 1,
+                train_len: 1,
+                ..ShardedConfig::default()
+            },
+            NetworkModel::free(),
+        );
+        let mut c = srv.client();
+        let puts = 5000u64;
+        for i in 0..puts {
+            c.put(key(0, i), &[1u8; 8]).unwrap();
+        }
+        c.flush().unwrap();
+        let e = srv.fleet_events()[&0];
+        assert_eq!(e.journal_ships, puts + 1);
+        assert_eq!(e.journal_ships, srv.sharded_stats().shipped_epochs);
+        assert_eq!(e.flush_barriers, 1);
+        assert_eq!(e.total(), puts + 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::fmt;
 
 use crate::model::NetworkModel;
 use crate::stats::NetStats;
-use crate::wiretap::{TraceContext, WireDir, WireOp, WireTap};
+use crate::wiretap::{TraceContext, WireTap};
 
 /// Key identifying one far-memory object: (data-structure id, object index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,7 +54,7 @@ impl std::error::Error for NetError {}
 /// Fault-handling events a transport accumulated since the last drain:
 /// failovers it initiated, hedges it sent, fences it bounced off. The
 /// runtime drains these after each operation to attribute them to spans
-/// ([`SpanKind::Failover`]/[`SpanKind::Hedge`] in `cards-runtime`) and
+/// (`SpanKind::Failover`/`SpanKind::Hedge` in `cards-runtime`) and
 /// stats. Counts are per-client (this transport's own actions), not the
 /// cluster-wide totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -159,7 +159,7 @@ pub trait Transport {
     }
 
     /// Set the causal context stamped on subsequent operations (envelopes
-    /// and wire-tap records). Transports without tracing ignore it.
+    /// and server spans). Transports without either ignore it.
     fn set_trace_context(&mut self, _ctx: TraceContext) {}
 
     /// The causal context currently in force.
@@ -167,8 +167,7 @@ pub trait Transport {
         TraceContext::NONE
     }
 
-    /// The wire tap recording every send/recv at the client edge, if this
-    /// transport keeps one.
+    /// Always `None`: no transport keeps a wire tap (see [`WireTap`]).
     fn wire_tap(&self) -> Option<&WireTap> {
         None
     }
@@ -228,10 +227,6 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
     fn trace_context(&self) -> TraceContext {
         (**self).trace_context()
     }
-
-    fn wire_tap(&self) -> Option<&WireTap> {
-        (**self).wire_tap()
-    }
 }
 
 /// In-process simulated transport: a hash map "server" plus the cycle model.
@@ -241,8 +236,6 @@ pub struct SimTransport {
     store: HashMap<ObjKey, Vec<u8>>,
     stats: NetStats,
     resident_bytes: u64,
-    ctx: TraceContext,
-    tap: WireTap,
 }
 
 impl SimTransport {
@@ -253,8 +246,6 @@ impl SimTransport {
             store: HashMap::new(),
             stats: NetStats::default(),
             resident_bytes: 0,
-            ctx: TraceContext::NONE,
-            tap: WireTap::default(),
         }
     }
 
@@ -276,48 +267,30 @@ impl Default for SimTransport {
 }
 
 impl SimTransport {
-    fn fetch_inner(&mut self, key: ObjKey, op: WireOp) -> Result<Fetched, NetError> {
-        self.tap
-            .record(WireDir::Send, op, key.ds, key.index, 0, true, self.ctx);
-        match self.store.get(&key) {
-            Some(data) => {
-                let cycles = match op {
-                    WireOp::FetchBatched => {
-                        self.model.per_msg_cpu + self.model.wire_cycles(data.len() as u64)
-                    }
-                    _ => self.model.fetch_cost(data.len() as u64),
-                };
-                self.stats.fetches += 1;
-                self.stats.bytes_fetched += data.len() as u64;
-                self.stats.cycles += cycles;
-                let bytes = data.clone();
-                self.tap.record(
-                    WireDir::Recv,
-                    op,
-                    key.ds,
-                    key.index,
-                    bytes.len() as u64,
-                    true,
-                    self.ctx,
-                );
-                Ok(Fetched { bytes, cycles })
-            }
-            None => {
-                self.tap
-                    .record(WireDir::Recv, op, key.ds, key.index, 0, false, self.ctx);
-                Err(NetError::NotFound(key))
-            }
-        }
+    fn fetch_inner(&mut self, key: ObjKey, batched: bool) -> Result<Fetched, NetError> {
+        let data = self.store.get(&key).ok_or(NetError::NotFound(key))?;
+        let cycles = if batched {
+            self.model.per_msg_cpu + self.model.wire_cycles(data.len() as u64)
+        } else {
+            self.model.fetch_cost(data.len() as u64)
+        };
+        self.stats.fetches += 1;
+        self.stats.bytes_fetched += data.len() as u64;
+        self.stats.cycles += cycles;
+        Ok(Fetched {
+            bytes: data.clone(),
+            cycles,
+        })
     }
 }
 
 impl Transport for SimTransport {
     fn fetch(&mut self, key: ObjKey) -> Result<Fetched, NetError> {
-        self.fetch_inner(key, WireOp::Fetch)
+        self.fetch_inner(key, false)
     }
 
     fn fetch_batched(&mut self, key: ObjKey) -> Result<Fetched, NetError> {
-        self.fetch_inner(key, WireOp::FetchBatched)
+        self.fetch_inner(key, true)
     }
 
     fn rtt_cost(&self) -> u64 {
@@ -325,15 +298,6 @@ impl Transport for SimTransport {
     }
 
     fn put(&mut self, key: ObjKey, data: &[u8]) -> Result<u64, NetError> {
-        self.tap.record(
-            WireDir::Send,
-            WireOp::Put,
-            key.ds,
-            key.index,
-            data.len() as u64,
-            true,
-            self.ctx,
-        );
         let cycles = self.model.writeback_cost(data.len() as u64);
         self.stats.writebacks += 1;
         self.stats.bytes_written += data.len() as u64;
@@ -342,42 +306,15 @@ impl Transport for SimTransport {
             self.resident_bytes -= old.len() as u64;
         }
         self.resident_bytes += data.len() as u64;
-        self.tap.record(
-            WireDir::Recv,
-            WireOp::Put,
-            key.ds,
-            key.index,
-            0,
-            true,
-            self.ctx,
-        );
         Ok(cycles)
     }
 
     fn remove(&mut self, key: ObjKey) -> Result<u64, NetError> {
-        self.tap.record(
-            WireDir::Send,
-            WireOp::Remove,
-            key.ds,
-            key.index,
-            0,
-            true,
-            self.ctx,
-        );
         if let Some(old) = self.store.remove(&key) {
             self.resident_bytes -= old.len() as u64;
         }
         // Frees piggyback on other traffic; charge one message's CPU cost.
         self.stats.cycles += self.model.per_msg_cpu;
-        self.tap.record(
-            WireDir::Recv,
-            WireOp::Remove,
-            key.ds,
-            key.index,
-            0,
-            true,
-            self.ctx,
-        );
         Ok(self.model.per_msg_cpu)
     }
 
@@ -391,18 +328,6 @@ impl Transport for SimTransport {
 
     fn remote_bytes(&self) -> u64 {
         self.resident_bytes
-    }
-
-    fn set_trace_context(&mut self, ctx: TraceContext) {
-        self.ctx = ctx;
-    }
-
-    fn trace_context(&self) -> TraceContext {
-        self.ctx
-    }
-
-    fn wire_tap(&self) -> Option<&WireTap> {
-        Some(&self.tap)
     }
 }
 
@@ -479,29 +404,5 @@ mod tests {
         let mut t = SimTransport::default();
         assert_eq!(t.flush(), Ok(0));
         assert_eq!(t.generation(), 0);
-    }
-
-    #[test]
-    fn wire_tap_records_send_and_recv_with_context() {
-        let mut t = SimTransport::default();
-        let ctx = TraceContext { trace: 9, span: 1 };
-        t.set_trace_context(ctx);
-        assert_eq!(t.trace_context(), ctx);
-        t.put(key(1, 4), &[7u8; 64]).unwrap();
-        t.fetch(key(1, 4)).unwrap();
-        assert_eq!(t.fetch(key(1, 5)), Err(NetError::NotFound(key(1, 5))));
-        let recs: Vec<_> = t.wire_tap().unwrap().records().cloned().collect();
-        assert_eq!(recs.len(), 6, "send+recv per operation");
-        assert!(recs.iter().all(|r| r.ctx == ctx));
-        assert_eq!(recs[0].dir, WireDir::Send);
-        assert_eq!(recs[0].op, WireOp::Put);
-        assert_eq!(recs[0].bytes, 64);
-        assert_eq!(recs[3].dir, WireDir::Recv);
-        assert_eq!(recs[3].op, WireOp::Fetch);
-        assert_eq!(recs[3].bytes, 64);
-        assert!(recs[3].ok);
-        assert!(!recs[5].ok, "failed fetch records a failed recv");
-        let seqs: Vec<u64> = recs.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4, 5]);
     }
 }

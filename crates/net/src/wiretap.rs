@@ -1,17 +1,16 @@
-//! Causal trace context and the transport wire tap.
+//! Causal trace context, plus the retired wire tap's shim.
 //!
 //! The runtime threads a [`TraceContext`] — the id of the causal span tree
 //! it is currently executing plus the span that issued the wire operation —
-//! into the transport before every fetch/put/remove/flush. Transports stamp
-//! it into stored [`crate::envelope`]s (covered by the checksum) and record
-//! every send and receive in a bounded, deterministic [`WireTap`] ring, so
-//! a span tree can be joined against the exact wire messages it caused.
+//! into the transport before every fetch/put/remove/flush. Transports with
+//! envelopes stamp it into them (covered by the checksum), and the sharded
+//! tier keys every [`crate::ServerSpan`] by it, so a span tree can be
+//! joined against the server-side work it caused.
 //!
-//! Everything here is driven by the modeled execution only (no wall clock,
-//! no allocation-order effects): two identical runs produce byte-identical
-//! tap contents.
-
-use std::collections::VecDeque;
+//! No transport records wire messages: a traced wire operation is a
+//! `wire`, `flush` or `retry` leaf of its span tree, and on the sharded
+//! tier also a server span under the same context. [`WireTap`] remains
+//! only so code written against [`crate::Transport::wire_tap`] compiles.
 
 /// Causal identity of one wire operation: which span tree (`trace`) and
 /// which span within it (`span`) issued it. `NONE` (all zeros) means the
@@ -34,272 +33,22 @@ impl TraceContext {
     }
 }
 
-/// Direction of one tap record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireDir {
-    /// Request leaving the client.
-    Send,
-    /// Response arriving at the client.
-    Recv,
-}
-
-impl WireDir {
-    /// Stable snake_case name for exports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WireDir::Send => "send",
-            WireDir::Recv => "recv",
-        }
-    }
-}
-
-/// Which transport operation a tap record belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireOp {
-    /// Demand fetch.
-    Fetch,
-    /// Batched (prefetch) fetch.
-    FetchBatched,
-    /// Store/evict.
-    Put,
-    /// Free.
-    Remove,
-    /// Durability acknowledgement.
-    Flush,
-}
-
-impl WireOp {
-    /// Every operation, in export order.
-    pub const ALL: [WireOp; 5] = [
-        WireOp::Fetch,
-        WireOp::FetchBatched,
-        WireOp::Put,
-        WireOp::Remove,
-        WireOp::Flush,
-    ];
-
-    /// Stable snake_case name for exports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WireOp::Fetch => "fetch",
-            WireOp::FetchBatched => "fetch_batched",
-            WireOp::Put => "put",
-            WireOp::Remove => "remove",
-            WireOp::Flush => "flush",
-        }
-    }
-
-    /// Position in [`WireOp::ALL`] (indexes per-op counter arrays).
-    pub fn idx(&self) -> usize {
-        match self {
-            WireOp::Fetch => 0,
-            WireOp::FetchBatched => 1,
-            WireOp::Put => 2,
-            WireOp::Remove => 3,
-            WireOp::Flush => 4,
-        }
-    }
-}
-
-/// One send or receive observed at the client edge of the transport.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WireRecord {
-    /// Monotonic sequence number (counts every record ever taken, including
-    /// ones later dropped from the ring).
-    pub seq: u64,
-    /// Send or receive.
-    pub dir: WireDir,
-    /// The transport operation.
-    pub op: WireOp,
-    /// Key: data-structure id (0 for flush).
-    pub ds: u32,
-    /// Key: object index (0 for flush).
-    pub index: u64,
-    /// Payload bytes carried (0 for requests without a payload).
-    pub bytes: u64,
-    /// For receives: whether the operation succeeded. Sends are always true.
-    pub ok: bool,
-    /// Causal context in force when the operation was issued.
-    pub ctx: TraceContext,
-}
-
-/// Bounded ring of [`WireRecord`]s. Oldest records are dropped (and
-/// counted) when the ring is full; capacity 0 disables recording entirely.
-#[derive(Clone, Debug)]
-pub struct WireTap {
-    ring: VecDeque<WireRecord>,
-    capacity: usize,
-    seq: u64,
-    dropped: u64,
-    dropped_by_op: [u64; 5],
-}
-
-/// Default tap capacity (records, i.e. sends + receives).
-pub const DEFAULT_TAP_CAPACITY: usize = 4096;
-
-impl Default for WireTap {
-    fn default() -> Self {
-        WireTap::new(DEFAULT_TAP_CAPACITY)
-    }
-}
+/// The retired wire tap. It has no values, so no transport can return
+/// one and [`crate::Transport::wire_tap`] is always `None`; it exists only
+/// so that wrappers forwarding that method keep compiling.
+#[derive(Debug)]
+pub enum WireTap {}
 
 impl WireTap {
-    /// Create a tap retaining at most `capacity` records.
-    pub fn new(capacity: usize) -> Self {
-        WireTap {
-            ring: VecDeque::new(),
-            capacity,
-            seq: 0,
-            dropped: 0,
-            dropped_by_op: [0; 5],
-        }
-    }
-
-    /// Append one record (stamping its sequence number).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        dir: WireDir,
-        op: WireOp,
-        ds: u32,
-        index: u64,
-        bytes: u64,
-        ok: bool,
-        ctx: TraceContext,
-    ) {
-        let seq = self.seq;
-        self.seq += 1;
-        if self.capacity == 0 {
-            self.dropped += 1;
-            self.dropped_by_op[op.idx()] += 1;
-            return;
-        }
-        if self.ring.len() >= self.capacity {
-            if let Some(evicted) = self.ring.pop_front() {
-                self.dropped_by_op[evicted.op.idx()] += 1;
-            }
-            self.dropped += 1;
-        }
-        self.ring.push_back(WireRecord {
-            seq,
-            dir,
-            op,
-            ds,
-            index,
-            bytes,
-            ok,
-            ctx,
-        });
-    }
-
-    /// Retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &WireRecord> {
-        self.ring.iter()
-    }
-
-    /// Total records ever taken (including dropped ones).
-    pub fn total(&self) -> u64 {
-        self.seq
-    }
-
-    /// Records dropped because the ring was full (or capacity was 0).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drops attributed to one operation (the evicted record's op for
-    /// ring overflow, the incoming record's op when capacity is 0).
-    pub fn dropped_of(&self, op: WireOp) -> u64 {
-        self.dropped_by_op[op.idx()]
-    }
-
-    /// Per-op drop counters, indexed as [`WireOp::ALL`].
-    pub fn dropped_by_op(&self) -> [u64; 5] {
-        self.dropped_by_op
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+    /// The records of a tap, which cannot exist.
+    pub fn records(&self) -> std::iter::Empty<()> {
+        match *self {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_bounds_and_counts_drops() {
-        let mut tap = WireTap::new(2);
-        for i in 0..5u64 {
-            tap.record(
-                WireDir::Send,
-                WireOp::Fetch,
-                1,
-                i,
-                0,
-                true,
-                TraceContext::NONE,
-            );
-        }
-        assert_eq!(tap.len(), 2);
-        assert_eq!(tap.dropped(), 3);
-        assert_eq!(tap.total(), 5);
-        assert_eq!(tap.dropped_of(WireOp::Fetch), 3);
-        assert_eq!(tap.dropped_of(WireOp::Put), 0);
-        let seqs: Vec<u64> = tap.records().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![3, 4], "oldest dropped first");
-    }
-
-    #[test]
-    fn per_op_drop_attribution_follows_the_evicted_record() {
-        let mut tap = WireTap::new(1);
-        tap.record(
-            WireDir::Send,
-            WireOp::Put,
-            1,
-            0,
-            64,
-            true,
-            TraceContext::NONE,
-        );
-        tap.record(
-            WireDir::Send,
-            WireOp::Fetch,
-            1,
-            1,
-            0,
-            true,
-            TraceContext::NONE,
-        );
-        // The Put was evicted to admit the Fetch: the drop is a Put drop.
-        assert_eq!(tap.dropped(), 1);
-        assert_eq!(tap.dropped_of(WireOp::Put), 1);
-        assert_eq!(tap.dropped_of(WireOp::Fetch), 0);
-    }
-
-    #[test]
-    fn zero_capacity_disables_retention_but_still_counts() {
-        let mut tap = WireTap::new(0);
-        tap.record(
-            WireDir::Recv,
-            WireOp::Put,
-            0,
-            0,
-            64,
-            true,
-            TraceContext::NONE,
-        );
-        assert!(tap.is_empty());
-        assert_eq!(tap.total(), 1);
-        assert_eq!(tap.dropped(), 1);
-        assert_eq!(tap.dropped_of(WireOp::Put), 1);
-    }
 
     #[test]
     fn context_identity() {

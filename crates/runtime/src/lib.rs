@@ -636,13 +636,21 @@ mod tests {
 
     #[test]
     fn disconnected_emits_terminal_failure_event() {
-        use cards_net::{NetError, ThreadedTransport};
-        // Kill the worker out from under the runtime: the write-back must
-        // surface Disconnected (not retry forever) and emit a net_abort
-        // carrying the attempt count.
-        let mut t = ThreadedTransport::spawn(NetworkModel::default());
-        t.kill_server();
-        let mut r = FarMemRuntime::new(RuntimeConfig::new(0, 1 << 20), t);
+        use cards_net::{NetError, ShardedConfig, ShardedServer};
+        // Kill a whole replica set out from under the runtime: the
+        // write-back (a one-object train) must surface Disconnected (not
+        // retry forever) and emit a net_abort carrying the attempt count.
+        let server = ShardedServer::spawn(
+            ShardedConfig {
+                shards: 1,
+                train_len: 1,
+                ..ShardedConfig::default()
+            },
+            NetworkModel::default(),
+        );
+        server.kill_backup(0);
+        server.kill_shard(0);
+        let mut r = FarMemRuntime::new(RuntimeConfig::new(0, 1 << 20), server.client());
         let h = r.register_ds(DsSpec::simple("d"), StaticHint::Remotable);
         let (p, _) = r.ds_alloc(h, 4096).unwrap();
         let err = r.evacuate(p).unwrap_err();

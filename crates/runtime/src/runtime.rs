@@ -2501,8 +2501,8 @@ impl<T: Transport> FarMemRuntime<T> {
         &self.transport
     }
 
-    /// Mutable transport access — fault injection (e.g. killing a
-    /// [`cards_net::ThreadedTransport`] server mid-run) in tests.
+    /// Mutable transport access — fault injection and recording wrappers
+    /// in tests and harnesses.
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport
     }

@@ -47,7 +47,7 @@ pub struct DsStats {
 }
 
 impl DsStats {
-    /// Miss ratio in [0,1]; 0 when no accesses. Saturating, so counters
+    /// Miss ratio in `[0, 1]`; 0 when no accesses. Saturating, so counters
     /// near `u64::MAX` cannot overflow the denominator.
     pub fn miss_ratio(&self) -> f64 {
         let total = self.hits.saturating_add(self.misses);

@@ -433,8 +433,7 @@ pub struct EpochSnapshot {
     pub net: NetStats,
 }
 
-/// The telemetry sink owned by
-/// [`FarMemRuntime`](crate::runtime::FarMemRuntime).
+/// The telemetry sink owned by [`crate::runtime::FarMemRuntime`].
 #[derive(Debug)]
 pub struct Telemetry {
     cfg: TelemetryConfig,

@@ -82,7 +82,7 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    /// Availability in [0,1]: completed / issued (1.0 when none issued).
+    /// Availability in `[0, 1]`: completed / issued (1.0 when none issued).
     pub fn availability(&self) -> f64 {
         if self.issued == 0 {
             1.0

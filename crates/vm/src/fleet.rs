@@ -1,5 +1,5 @@
 //! Fleet observability plane: cross-worker trace assembly and the
-//! `cards fleet` export (schema `cards-fleet-v1`).
+//! `cards fleet` export (schema `cards-fleet-v2`).
 //!
 //! Each serving worker runs a traced VM over a [`ShardedClient`]; the
 //! client keeps a deterministic [`ServerSpanLog`] decomposing every
@@ -26,12 +26,12 @@
 //!
 //! ## Determinism contract (DESIGN.md §13, §15)
 //!
-//! Everything above the `"counters"` key in `cards-fleet-v1` is a pure
+//! Everything above the `"counters"` key in `cards-fleet-v2` is a pure
 //! function of each worker's own op sequence and is byte-identical across
 //! fault-free replays: span logs, per-shard gauges, SLO percentiles,
 //! sampled timelines (sorted by root cycles, ties broken on worker then
 //! trace id). Interleaving-dependent truth — shared tier counters, the
-//! fleet event ring, per-worker resilience counters — lives only under
+//! per-shard event counts, per-worker resilience counters — lives only under
 //! `"counters"`, which diff tooling strips before comparing, exactly as
 //! for `BENCH_core.json`.
 
@@ -40,8 +40,8 @@ use std::fmt::Write as _;
 
 use cards_net::json::{self, Fixed, Obj};
 use cards_net::{
-    FailoverIncident, Histogram, ServerSpan, ServerSpanLog, ShardGauges, ShardedClient, Transport,
-    WireOp, INCIDENT_PHASES,
+    FailoverIncident, Histogram, ServerSpan, ServerSpanLog, ShardGauges, ShardedClient,
+    INCIDENT_PHASES,
 };
 use cards_runtime::{SpanKind, TraceTree};
 
@@ -68,12 +68,6 @@ pub struct WorkerFleet {
     pub incidents: Vec<FailoverIncident>,
     /// The client's total modeled network cycles (cross-checks the log).
     pub net_cycles: u64,
-    /// Wire-tap records ever seen by this client's facade.
-    pub tap_total: u64,
-    /// Wire-tap records dropped by the bounded ring.
-    pub tap_dropped: u64,
-    /// Per-op drop attribution, indexed like [`WireOp::ALL`].
-    pub tap_dropped_by_op: [u64; 5],
 }
 
 /// Extract the fleet plane from a live serving VM. Must run while the VM
@@ -82,9 +76,6 @@ pub fn extract_fleet(vm: &Vm<ShardedClient>) -> WorkerFleet {
     let rt = vm.runtime();
     let tr = rt.tracer();
     let client = rt.transport();
-    let tap = client
-        .wire_tap()
-        .expect("sharded client carries a wire tap");
     WorkerFleet {
         trees: tr.trees().cloned().collect(),
         remote_ops: tr.remote_ops(),
@@ -93,9 +84,6 @@ pub fn extract_fleet(vm: &Vm<ShardedClient>) -> WorkerFleet {
         server: client.server_span_log().clone(),
         incidents: client.incidents(),
         net_cycles: rt.net_stats().cycles,
-        tap_total: tap.total(),
-        tap_dropped: tap.dropped(),
-        tap_dropped_by_op: tap.dropped_by_op(),
     }
 }
 
@@ -320,7 +308,7 @@ fn sampled_timelines(report: &ServeReport, top_n: usize) -> Vec<Timeline<'_>> {
 }
 
 /// The SLO object's members — availability plus per-request-class latency
-/// quantiles. Shared by the `cards-fleet-v1` export and the
+/// quantiles. Shared by the `cards-fleet-v2` export and the
 /// `BENCH_core.json` serving section. Fully deterministic: request
 /// latencies and their remote/local classification are pure functions of
 /// each worker's op sequence.
@@ -346,12 +334,12 @@ fn gauge_fields(o: &mut Obj<'_>, h: &Histogram) {
         .field("p99", h.p99());
 }
 
-/// Render the `cards-fleet-v1` export. Key order is fixed; `"counters"`
+/// Render the `cards-fleet-v2` export. Key order is fixed; `"counters"`
 /// (the only interleaving-dependent region) comes last so diff tooling
 /// can strip it with the same rule as `BENCH_core.json`.
 pub fn fleet_json(module_name: &str, spec: &ServeSpec, report: &ServeReport) -> String {
     json::object(|o| {
-        o.field("schema", "cards-fleet-v1")
+        o.field("schema", "cards-fleet-v2")
             .field("module", module_name)
             .field("workers", report.workers)
             .field("shards", spec.net.shards)
@@ -382,15 +370,6 @@ pub fn fleet_json(module_name: &str, spec: &ServeSpec, report: &ServeReport) -> 
                                 for (kind, cycles) in &f.phases {
                                     o.field(kind.name(), cycles);
                                 }
-                            })
-                            .obj("tap", |o| {
-                                o.field("records", f.tap_total)
-                                    .field("dropped", f.tap_dropped)
-                                    .obj("dropped_by_op", |o| {
-                                        for op in WireOp::ALL {
-                                            o.field(op.name(), f.tap_dropped_by_op[op.idx()]);
-                                        }
-                                    });
                             });
                     });
                 }
@@ -437,7 +416,7 @@ pub fn fleet_json(module_name: &str, spec: &ServeSpec, report: &ServeReport) -> 
                 }
             })
             // Interleaving-dependent region, last key: shared tier
-            // counters, the fleet event ring, per-worker resilience
+            // counters, per-shard event counts, per-worker resilience
             // counters. Strip before byte-comparing runs.
             .obj("counters", |o| counters_fields(o, report));
     })
@@ -501,10 +480,9 @@ fn counters_fields(o: &mut Obj<'_>, report: &ServeReport) {
             .field("shipped_epochs", n.shipped_epochs);
     })
     .obj("events", |o| {
-        o.field("total", ev.total)
-            .field("dropped", ev.dropped)
+        o.field("total", ev.values().map(|e| e.total()).sum::<u64>())
             .arr("per_shard", |a| {
-                for (shard, e) in &ev.per_shard {
+                for (shard, e) in ev {
                     a.obj(|o| {
                         o.field("shard", shard)
                             .field("journal_ships", e.journal_ships)
@@ -581,7 +559,7 @@ pub fn render_fleet_report(module_name: &str, spec: &ServeSpec, report: &ServeRe
         let _ = writeln!(
             s,
             "  worker {}: {} req, remote {} cycles (spans {} + residue {}), \
-             failovers {}, hedged {} (wasted {}), fenced retries {}, tap dropped {}",
+             failovers {}, hedged {} (wasted {}), fenced retries {}",
             w.worker,
             w.requests,
             f.net_cycles,
@@ -590,8 +568,7 @@ pub fn render_fleet_report(module_name: &str, spec: &ServeSpec, report: &ServeRe
             w.failovers,
             w.hedged_fetches,
             w.hedge_wasted,
-            w.fenced_retries,
-            f.tap_dropped
+            w.fenced_retries
         );
     }
     let tls = sampled_timelines(report, 8);
@@ -652,10 +629,10 @@ pub fn render_fleet_report(module_name: &str, spec: &ServeSpec, report: &ServeRe
     let ev = &report.fleet_events;
     let _ = writeln!(
         s,
-        "events (interleaving-dependent): {} total, {} dropped",
-        ev.total, ev.dropped
+        "events (interleaving-dependent): {} total",
+        ev.values().map(|e| e.total()).sum::<u64>()
     );
-    for (shard, e) in ev.per_shard.iter() {
+    for (shard, e) in ev {
         let _ = writeln!(
             s,
             "  shard {}: ships {}, barriers {}, fence rejects {}, takeover drains {}, \

@@ -1,6 +1,6 @@
 //! Causal-trace reports: the observability layer behind `cards ttrace`.
 //!
-//! The runtime's [`Tracer`](cards_runtime::Tracer) records span trees keyed
+//! The runtime's [`cards_runtime::Tracer`] records span trees keyed
 //! by `u32` guard-site index; the compiled module's
 //! [`SiteTable`](cards_ir::SiteTable) holds the static context. Only this
 //! crate sees both, so the joins live here:

@@ -1,7 +1,7 @@
 //! Concurrent serving harness: N worker VMs over one sharded remote tier.
 //!
 //! Each worker runs its own deterministic [`Vm`] (own address space, own
-//! modeled clock) against a [`ShardedClient`] of one shared
+//! modeled clock) against a [`cards_net::ShardedClient`] of one shared
 //! [`ShardedServer`]. Tenants are partitioned round-robin across workers;
 //! every worker executes the workload's `setup` entry *serialized* (a
 //! cache-starved setup evicts byte-different intermediate states, so
@@ -25,7 +25,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cards_ir::Module;
-use cards_net::{FleetEventSummary, NetworkModel, ShardedConfig, ShardedServer, ShardedStats};
+use cards_net::{NetworkModel, ShardEvents, ShardedConfig, ShardedServer, ShardedStats};
 use cards_runtime::{RemotingPolicy, RuntimeConfig};
 
 use crate::fleet::{extract_fleet, permille, WorkerFleet};
@@ -170,9 +170,9 @@ pub struct ServeReport {
     pub digest: BTreeMap<u32, u64>,
     /// Shared server counters (interleaving-dependent; never asserted).
     pub net: ShardedStats,
-    /// Replica-lifecycle event tallies from the tier's shared event ring
+    /// Per-shard replica-lifecycle event tallies over the whole run
     /// (interleaving-dependent; never asserted).
-    pub fleet_events: FleetEventSummary,
+    pub fleet_events: BTreeMap<u32, ShardEvents>,
     /// Per-worker breakdowns.
     pub per_worker: Vec<WorkerReport>,
 }
@@ -474,7 +474,7 @@ pub fn run_serving_with_faults(
 
     let digest = server.digest();
     let net = server.sharded_stats();
-    let fleet_events = server.fleet_events().summary();
+    let fleet_events = server.fleet_events();
     let mut all: Vec<u64> = reports
         .iter()
         .flat_map(|r| r.request_cycles.iter().copied())
@@ -701,7 +701,7 @@ mod tests {
             assert!(!w.fleet.trees.is_empty(), "tracer must retain trees");
         }
         let json = crate::fleet::fleet_json("fleet-serve", &spec(2), &r);
-        assert!(json.contains("\"schema\":\"cards-fleet-v1\""));
+        assert!(json.contains("\"schema\":\"cards-fleet-v2\""));
         assert!(
             json.contains("\"joined\":true"),
             "at least one fully joined end-to-end timeline: {json}"

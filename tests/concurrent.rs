@@ -4,7 +4,7 @@
 //! digest regardless of worker count or shard count, and surface server
 //! death as a deterministic `Disconnected` — never a hang.
 
-use cards_core::net::{NetError, NetworkModel, ShardedConfig, ShardedServer, ThreadedTransport};
+use cards_core::net::{NetError, NetworkModel, ShardedConfig, ShardedServer};
 use cards_core::passes::{compile, CompileOptions};
 use cards_core::runtime::{RemotingPolicy, RtError, RuntimeConfig};
 use cards_core::vm::{run_serial_replay, run_serving, ServeSpec, Vm, VmError};
@@ -277,9 +277,8 @@ fn eight_workers_sustain_4x_aggregate_throughput() {
 }
 
 /// Server death is a deterministic `Disconnected`, not a hang: the same
-/// kill point yields the same error at the same request, twice — for the
-/// sharded tier (killed shard with writeback trains still in the window)
-/// and for the plain `ThreadedTransport` seam it grew from.
+/// kill point yields the same error at the same request, twice, on the
+/// sharded tier (killed shard with writeback trains still in the window).
 #[test]
 fn server_death_yields_deterministic_disconnected() {
     let p = ServingParams::test();
@@ -338,30 +337,4 @@ fn server_death_yields_deterministic_disconnected() {
     assert_eq!(format!("{err_a:?}"), format!("{err_b:?}"));
     assert!(matches!(q_a, Err(RtError::Net(NetError::Disconnected))));
     assert_eq!(format!("{q_a:?}"), format!("{q_b:?}"));
-
-    let threaded_run = || {
-        let module = split_module(p);
-        let cfg = RuntimeConfig::new(ws / 16, ws / 16).with_max_retries(8);
-        let mut vm = Vm::new(
-            module,
-            cfg,
-            ThreadedTransport::spawn(NetworkModel::default()),
-            RemotingPolicy::MaxUse,
-            50,
-        );
-        vm.run("setup", &[]).expect("setup");
-        vm.runtime_mut().transport_mut().kill_server();
-        until_error(&mut vm, p)
-    };
-    let (served_a, err_a) = threaded_run();
-    let (served_b, err_b) = threaded_run();
-    assert!(
-        matches!(
-            err_a,
-            VmError::Runtime(RtError::Net(NetError::Disconnected))
-        ),
-        "dead threaded server must surface Disconnected, got {err_a:?}"
-    );
-    assert_eq!(served_a, served_b, "failure point must be deterministic");
-    assert_eq!(format!("{err_a:?}"), format!("{err_b:?}"));
 }

@@ -85,38 +85,3 @@ fn retries_are_priced() {
     let faulty = run(0.4);
     assert!(faulty > clean, "faulty {faulty} vs clean {clean}");
 }
-
-#[test]
-fn threaded_transport_matches_sim_results() {
-    // The cross-thread "two machines" configuration must agree with the
-    // in-process transport bit for bit.
-    use cards_core::net::ThreadedTransport;
-    let p = listing1::Listing1Params::test();
-    let run_sim = {
-        let (m, _) = listing1::build(p);
-        let c = compile(m, CompileOptions::cards()).unwrap();
-        let mut vm = Vm::new(
-            c.module,
-            RuntimeConfig::new(0, 4 * 4096),
-            SimTransport::new(NetworkModel::default()),
-            RemotingPolicy::AllRemotable,
-            0,
-        );
-        let r = vm.run("main", &[]).unwrap().unwrap();
-        (r, vm.metrics().cycles)
-    };
-    let run_threaded = {
-        let (m, _) = listing1::build(p);
-        let c = compile(m, CompileOptions::cards()).unwrap();
-        let mut vm = Vm::new(
-            c.module,
-            RuntimeConfig::new(0, 4 * 4096),
-            ThreadedTransport::spawn(NetworkModel::default()),
-            RemotingPolicy::AllRemotable,
-            0,
-        );
-        let r = vm.run("main", &[]).unwrap().unwrap();
-        (r, vm.metrics().cycles)
-    };
-    assert_eq!(run_sim, run_threaded);
-}

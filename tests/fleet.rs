@@ -1,11 +1,10 @@
 //! Fleet observability plane integration: trace-context continuity across
 //! an epoch-fenced failover (one trace id from the guard through the
 //! TakeOver to the retried reply), end-to-end client/server span joins on
-//! a replicated serving run, byte-identical `cards-fleet-v1` exports
-//! outside the counters region, and the bounded `WireTap` ring's per-op
-//! drop accounting through the sharded client.
+//! a replicated serving run, and byte-identical `cards-fleet-v2` exports
+//! outside the counters region.
 
-use cards_core::net::{NetworkModel, ObjKey, ShardedConfig, ShardedServer, Transport};
+use cards_core::net::{NetworkModel, ShardedConfig, ShardedServer};
 use cards_core::passes::{compile, CompileOptions};
 use cards_core::runtime::{RemotingPolicy, RuntimeConfig, SpanKind, TraceConfig};
 use cards_core::vm::{check_fleet, extract_fleet, fleet_json, run_serving, ServeSpec, Vm};
@@ -146,7 +145,7 @@ fn replicated_serving_run_joins_and_passes_fleet_checks() {
     let r = run_serving(&module, spec, cfg, RemotingPolicy::MaxUse, 50).expect("serve");
     check_fleet(&r).expect("fleet invariants must hold");
     let json = fleet_json("serving", &spec, &r);
-    assert!(json.contains("\"schema\":\"cards-fleet-v1\""));
+    assert!(json.contains("\"schema\":\"cards-fleet-v2\""));
     assert!(
         json.contains("\"joined\":true"),
         "at least one sampled timeline must fully join"
@@ -194,46 +193,5 @@ fn identical_runs_export_identical_bytes_outside_counters() {
     assert_eq!(
         a, b,
         "fleet exports must be byte-identical outside shared counters"
-    );
-}
-
-/// Satellite: the per-client `WireTap` ring is bounded by the configured
-/// capacity and accounts every eviction per wire-op kind.
-#[test]
-fn wire_tap_ring_is_bounded_with_per_op_drop_accounting() {
-    let mut net = ShardedConfig {
-        shards: 1,
-        train_len: 4,
-        window: 4,
-        ..ShardedConfig::default()
-    };
-    net.tap_capacity = 4;
-    let server = ShardedServer::spawn(net, NetworkModel::default());
-    let mut c = server.client();
-    for i in 0..16u64 {
-        c.put(ObjKey { ds: 1, index: i }, &[i as u8; 8])
-            .expect("put");
-    }
-    c.flush().expect("flush");
-    for i in 0..16u64 {
-        c.fetch(ObjKey { ds: 1, index: i }).expect("fetch");
-    }
-    let tap = c.wire_tap().expect("sharded client retains a wire tap");
-    assert_eq!(tap.len(), 4, "ring must hold exactly the configured cap");
-    assert!(tap.total() >= 32, "every op is recorded: {}", tap.total());
-    assert_eq!(
-        tap.dropped(),
-        tap.total() - tap.len() as u64,
-        "every record beyond the cap is an accounted drop"
-    );
-    let by_op = tap.dropped_by_op();
-    assert_eq!(
-        by_op.iter().sum::<u64>(),
-        tap.dropped(),
-        "per-op drop counters must partition the total"
-    );
-    assert!(
-        by_op.iter().filter(|&&n| n > 0).count() >= 2,
-        "both fetch and write traffic must appear in the drop accounting: {by_op:?}"
     );
 }

@@ -314,7 +314,7 @@ fn every_export_parses_with_the_shared_reader() {
     let cfg = RuntimeConfig::new(0, p.working_set_bytes() / 4);
     let r = run_serving(&sm, spec, cfg, RemotingPolicy::MaxUse, 50).expect("serve");
     let fleet = parsed("fleet", &fleet_json(MODULE_NAME, &spec, &r));
-    assert_eq!(fleet.str_of("schema"), "cards-fleet-v1");
+    assert_eq!(fleet.str_of("schema"), "cards-fleet-v2");
     assert_eq!(fleet.str_of("module"), MODULE_NAME);
     assert!(!fleet.arr_of("per_shard").is_empty());
 
