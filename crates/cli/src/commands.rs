@@ -36,7 +36,7 @@ usage:
                 per-DS prefetcher precision/recall; --folded writes
                 flamegraph-ready folded stacks)
   cards ttrace  <in.ir> [--top N] [--json FILE] [--out FILE]
-                [--chaos storm|crash-loop] [--fault RATE] [--seed N]
+                [--chaos storm|crash-loop | --fault RATE] [--seed N]
                 [--policy P] [--k N] [--pinned BYTES] [--cache BYTES]
                 [--retries N] [--ring N] [--storm-threshold N]
                 [--flight-dir DIR]

@@ -47,9 +47,15 @@ pub fn cmd_ttrace(a: &Args) -> Result<(), String> {
         .with_max_retries(a.opt_num("retries", 32u32)?);
     let fault = parse_fault_rate(a)?;
     let seed: u64 = a.opt_num("seed", 42u64)?;
+    let chaos = a.opt_or("chaos", "none");
+    if chaos != "none" && a.options.contains_key("fault") {
+        return Err(format!(
+            "--fault cannot be combined with --chaos {chaos}: the schedule sets the faults"
+        ));
+    }
     let c = compile(m, CompileOptions::cards()).map_err(|e| e.to_string())?;
 
-    match a.opt_or("chaos", "none").as_str() {
+    match chaos.as_str() {
         "none" => {
             let transport = FaultyTransport::new(SimTransport::default(), fault, seed);
             let mut vm = Vm::new(c.module, cfg, transport, policy, k);
@@ -516,6 +522,20 @@ mod tests {
             !diff.contains("regressed phase: none"),
             "storm must regress a phase"
         );
+    }
+
+    #[test]
+    fn fault_rate_with_a_chaos_schedule_is_an_error() {
+        let dir = std::env::temp_dir().join("cards_cli_ttrace_chaos_fault");
+        let p = kv_ir(&dir);
+        let d = dir.to_string_lossy().to_string();
+        for sched in ["storm", "crash-loop"] {
+            let e = cmd_ttrace(&args(&format!(
+                "ttrace {p} --chaos {sched} --seed 7 --fault 0.9 --out /dev/null --flight-dir {d}"
+            )))
+            .unwrap_err();
+            assert!(e.contains("--fault") && e.contains(sched), "{sched}: {e}");
+        }
     }
 
     #[test]

@@ -13,17 +13,23 @@
 //! paper programs do not: `free`, narrow-width arithmetic on corner
 //! operands, helper calls and pointer-chased chains, untransformed as well
 //! as under both far-memory pipelines.
+//!
+//! A third table pins the compiler's output itself under both pipelines:
+//! the printed module, the site table, guard counts and versioned loops of
+//! every program above, the split serving program and the benchmark's
+//! ~1k-instruction generator config. Host-side changes to the passes must
+//! leave it untouched.
 
 use cards_core::baselines::MemoryBudget;
 use cards_core::ir::testgen::{generate, GenConfig};
-use cards_core::ir::Module;
+use cards_core::ir::{print_module, Module};
 use cards_core::net::envelope::{fnv1a, fnv1a_init};
 use cards_core::net::{NetworkModel, SimTransport};
 use cards_core::passes::{compile, CompileOptions};
 use cards_core::runtime::telemetry::export_json;
 use cards_core::runtime::{CostModel, RemotingPolicy, RuntimeConfig};
 use cards_core::vm::{profile_json, ttrace_json, Vm, VmMetrics};
-use cards_core::workloads::{bfs, fdtd, kvstore, listing1, micro, pagerank, taxi};
+use cards_core::workloads::{bfs, fdtd, kvstore, listing1, micro, pagerank, serving, taxi};
 
 /// What one case pins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -353,6 +359,161 @@ fn generated_programs_match_golden_table() {
     assert!(
         mismatches.is_empty(),
         "{} generated rows differ:\n{}\nobserved table:\n{observed}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+}
+
+/// What one compiled-program case pins: the compiler's output itself,
+/// independent of what the VM does with it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct IrGolden {
+    /// FNV-1a of the printed module.
+    ir: u64,
+    /// FNV-1a of the site table: kind, function, instruction, block and
+    /// covering site of every site, in id order.
+    sites: u64,
+    inserted: usize,
+    elided: usize,
+    versioned: usize,
+}
+
+/// The benchmark's large generator config: ~1k instructions per program.
+fn large() -> GenConfig {
+    GenConfig {
+        arrays: 8,
+        elems: 256,
+        loops: 24,
+        body_ops: 16,
+        with_calls: true,
+        chain_len: 32,
+        const_branches: true,
+        narrow_ops: true,
+        with_frees: true,
+    }
+}
+
+fn compile_golden(module: Module, opts: CompileOptions) -> IrGolden {
+    let c = compile(module, opts).unwrap();
+    let mut sites = String::new();
+    for s in c.module.sites.iter() {
+        sites += &format!(
+            "{:?},{},{:?},{:?},{:?};",
+            s.kind,
+            s.func.0,
+            s.inst.map(|i| i.0),
+            s.block.map(|b| b.0),
+            s.covered_by.map(|c| c.0)
+        );
+    }
+    IrGolden {
+        ir: digest(&print_module(&c.module)),
+        sites: digest(&sites),
+        inserted: c.guard_stats.inserted,
+        elided: c.guard_stats.elided,
+        versioned: c.versioned_loops,
+    }
+}
+
+fn ir_row(name: &str, pipe: &str, g: &IrGolden) -> String {
+    format!(
+        "    (\"{name}\", \"{pipe}\", IrGolden {{ ir: {:#x}, sites: {:#x}, inserted: {}, \
+         elided: {}, versioned: {} }}),\n",
+        g.ir, g.sites, g.inserted, g.elided, g.versioned,
+    )
+}
+
+#[rustfmt::skip]
+const COMPILED: &[(&str, &str, IrGolden)] = &[
+    ("kvstore", "cards", IrGolden { ir: 0x1b8b618112b9e2d8, sites: 0x83c2b3283dbd99a3, inserted: 14, elided: 0, versioned: 5 }),
+    ("kvstore", "trackfm", IrGolden { ir: 0x82e9666a0f6a10cc, sites: 0x9c469ea3f65dbbc4, inserted: 37, elided: 8, versioned: 0 }),
+    ("bfs", "cards", IrGolden { ir: 0x8dbc6effb8abce35, sites: 0x1652798d4aabfc63, inserted: 20, elided: 0, versioned: 7 }),
+    ("bfs", "trackfm", IrGolden { ir: 0x16ed9074a8ddd601, sites: 0x5cbe5e1565df647c, inserted: 49, elided: 9, versioned: 0 }),
+    ("taxi", "cards", IrGolden { ir: 0x37d5a0cd16bd8a43, sites: 0x865605a56c93563c, inserted: 67, elided: 0, versioned: 29 }),
+    ("taxi", "trackfm", IrGolden { ir: 0xc62267dcbdc38dc3, sites: 0x2472293f128ee18d, inserted: 121, elided: 23, versioned: 0 }),
+    ("fdtd", "cards", IrGolden { ir: 0x72200be1e067c959, sites: 0x105fdc143d2ba855, inserted: 49, elided: 0, versioned: 21 }),
+    ("fdtd", "trackfm", IrGolden { ir: 0xa80696f5b2f8e1d4, sites: 0x12e3952a8088dcbd, inserted: 61, elided: 5, versioned: 0 }),
+    ("pagerank", "cards", IrGolden { ir: 0xdd24df411691d553, sites: 0xd10769afee7c86d1, inserted: 9, elided: 0, versioned: 5 }),
+    ("pagerank", "trackfm", IrGolden { ir: 0xa7ae13dfc4b1787f, sites: 0xea2b4fb731e28850, inserted: 22, elided: 3, versioned: 0 }),
+    ("listing1", "cards", IrGolden { ir: 0x823239ab2f3b51c1, sites: 0x1e1625b8fd6876a5, inserted: 4, elided: 0, versioned: 1 }),
+    ("listing1", "trackfm", IrGolden { ir: 0x2ed2013bdefa3dc6, sites: 0x221a09e219009632, inserted: 11, elided: 0, versioned: 0 }),
+    ("array", "cards", IrGolden { ir: 0x404e970b3535b816, sites: 0x430a188381383ce1, inserted: 5, elided: 0, versioned: 2 }),
+    ("array", "trackfm", IrGolden { ir: 0x99d550091e23027f, sites: 0x85753466c1c3a39c, inserted: 9, elided: 1, versioned: 0 }),
+    ("vector", "cards", IrGolden { ir: 0xa33d7bf9852bca44, sites: 0xa97a28894087028b, inserted: 16, elided: 3, versioned: 2 }),
+    ("vector", "trackfm", IrGolden { ir: 0xd6ea99bd6e80a490, sites: 0xfd321655f14b883b, inserted: 20, elided: 4, versioned: 0 }),
+    ("list", "cards", IrGolden { ir: 0xa0d85700fc2eedc8, sites: 0xfe0d3065d59f4f65, inserted: 11, elided: 5, versioned: 2 }),
+    ("list", "trackfm", IrGolden { ir: 0xb1926854bbd5274b, sites: 0x26247e8203bed07c, inserted: 19, elided: 7, versioned: 0 }),
+    ("map", "cards", IrGolden { ir: 0xf68503a64dcedf92, sites: 0x5d3076facc01bbe9, inserted: 9, elided: 0, versioned: 3 }),
+    ("map", "trackfm", IrGolden { ir: 0x62fbc72cf49a6bd2, sites: 0xa97feee1275291c9, inserted: 23, elided: 3, versioned: 0 }),
+    ("serving", "cards", IrGolden { ir: 0x4b5e0cb02c4e9056, sites: 0x5707b7dc8fb370be, inserted: 8, elided: 0, versioned: 2 }),
+    ("serving", "trackfm", IrGolden { ir: 0xf7cbd634dcc7062c, sites: 0xc6475921c04d1eeb, inserted: 24, elided: 2, versioned: 0 }),
+    ("default/1", "cards", IrGolden { ir: 0x3d07f0d1d24edb0a, sites: 0x879f1fdd5fa21469, inserted: 13, elided: 0, versioned: 6 }),
+    ("default/1", "trackfm", IrGolden { ir: 0x2248e7518a5bacbe, sites: 0x3d04b284066b353c, inserted: 23, elided: 4, versioned: 0 }),
+    ("default/2", "cards", IrGolden { ir: 0x4f0e63524a8e4c81, sites: 0xd5ff6c66f1255c6d, inserted: 13, elided: 0, versioned: 5 }),
+    ("default/2", "trackfm", IrGolden { ir: 0x8301c6164a26b4e7, sites: 0x8223a438bfa3c7ab, inserted: 23, elided: 4, versioned: 0 }),
+    ("default/3", "cards", IrGolden { ir: 0x756d6c6555ec3fa2, sites: 0xd5ff6c66f1255c6d, inserted: 13, elided: 0, versioned: 5 }),
+    ("default/3", "trackfm", IrGolden { ir: 0x3d9b77d33c6cbf92, sites: 0x8223a438bfa3c7ab, inserted: 23, elided: 4, versioned: 0 }),
+    ("adversarial/1", "cards", IrGolden { ir: 0x5855c8e5280abd2d, sites: 0x65f3e1356dcc4c37, inserted: 14, elided: 2, versioned: 5 }),
+    ("adversarial/1", "trackfm", IrGolden { ir: 0xff55ed3354abd710, sites: 0x70db851b74565664, inserted: 42, elided: 18, versioned: 0 }),
+    ("adversarial/2", "cards", IrGolden { ir: 0x10653746c97c6257, sites: 0x246abbd93d77fca, inserted: 14, elided: 2, versioned: 6 }),
+    ("adversarial/2", "trackfm", IrGolden { ir: 0x3bbe88bc4186a43f, sites: 0x8ddff19069c27c34, inserted: 44, elided: 18, versioned: 0 }),
+    ("adversarial/3", "cards", IrGolden { ir: 0x45322e4ed96a8fcc, sites: 0xd82bb35407a456a2, inserted: 14, elided: 2, versioned: 5 }),
+    ("adversarial/3", "trackfm", IrGolden { ir: 0xf29d412144c4f258, sites: 0x28f1adc85646f96, inserted: 37, elided: 12, versioned: 0 }),
+    ("chaos/1", "cards", IrGolden { ir: 0x81b6ca861683ddf3, sites: 0x5f2f9dba3485177a, inserted: 19, elided: 2, versioned: 8 }),
+    ("chaos/1", "trackfm", IrGolden { ir: 0x2415ea7388d75b79, sites: 0x3caf48039e3c224, inserted: 51, elided: 20, versioned: 0 }),
+    ("chaos/2", "cards", IrGolden { ir: 0x6bd2bf04fa812790, sites: 0x7c56fa7fb95e0b2e, inserted: 19, elided: 2, versioned: 9 }),
+    ("chaos/2", "trackfm", IrGolden { ir: 0x43ef852c72d8a807, sites: 0xf6459cf499f005e9, inserted: 53, elided: 20, versioned: 0 }),
+    ("chaos/3", "cards", IrGolden { ir: 0x5894b8208ee09783, sites: 0xd84e73b2b9e03eea, inserted: 19, elided: 2, versioned: 8 }),
+    ("chaos/3", "trackfm", IrGolden { ir: 0x6e414c8977a49950, sites: 0x2206a0037ad774c3, inserted: 46, elided: 14, versioned: 0 }),
+    ("large/1", "cards", IrGolden { ir: 0xbb9c2094c079e30f, sites: 0xba1f02a067ebace4, inserted: 92, elided: 2, versioned: 28 }),
+    ("large/1", "trackfm", IrGolden { ir: 0xb55f55708f6c15c3, sites: 0xe6edbc49557beca5, inserted: 144, elided: 30, versioned: 0 }),
+    ("large/2", "cards", IrGolden { ir: 0x4d61fcd554f4eccf, sites: 0xd8dd81b5cb4eef65, inserted: 92, elided: 2, versioned: 28 }),
+    ("large/2", "trackfm", IrGolden { ir: 0xd7a56e8ee9cd8628, sites: 0xc9487d79f0e671cc, inserted: 146, elided: 30, versioned: 0 }),
+    ("large/3", "cards", IrGolden { ir: 0xd4916e21ba428bdd, sites: 0xeef0ae99e5e2432e, inserted: 92, elided: 2, versioned: 34 }),
+    ("large/3", "trackfm", IrGolden { ir: 0x2e1b58675b72b102, sites: 0xdb9f1bd37b98cf45, inserted: 139, elided: 24, versioned: 0 }),
+];
+
+#[test]
+fn compiled_ir_matches_golden_table() {
+    let mut cases: Vec<(String, Module)> = programs()
+        .into_iter()
+        .map(|(name, m, _)| (name.to_string(), m))
+        .collect();
+    cases.push((
+        "serving".to_string(),
+        serving::build_split(serving::ServingParams::test()),
+    ));
+    for (cname, cfg) in [
+        ("default", GenConfig::default()),
+        ("adversarial", GenConfig::adversarial()),
+        ("chaos", GenConfig::chaos()),
+        ("large", large()),
+    ] {
+        for seed in 1..=3 {
+            cases.push((format!("{cname}/{seed}"), generate(seed, cfg)));
+        }
+    }
+    let mut observed = String::new();
+    let mut mismatches = Vec::new();
+    for (name, module) in cases {
+        for (pipe, opts) in [
+            ("cards", CompileOptions::cards()),
+            ("trackfm", CompileOptions::trackfm()),
+        ] {
+            let g = compile_golden(module.clone(), opts);
+            observed += &ir_row(&name, pipe, &g);
+            let want = COMPILED
+                .iter()
+                .find(|(n, p, _)| *n == name && *p == pipe)
+                .map(|(_, _, w)| *w);
+            if want != Some(g) {
+                mismatches.push(format!("{name}/{pipe}: want {want:?}\n  got {g:?}"));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} compiled rows differ:\n{}\nobserved table:\n{observed}",
         mismatches.len(),
         mismatches.join("\n")
     );
