@@ -4,9 +4,11 @@
 //! paper's evaluation. One `repro_*` binary per exhibit prints the same
 //! rows/series the paper reports (in simulated cycles — see DESIGN.md §5.6
 //! for why cycles, not wall time); `repro_all` runs everything and emits
-//! the summary recorded in EXPERIMENTS.md. Criterion benches additionally
-//! measure *real* wall time of the runtime primitives (Table 1's local
-//! rows) on this machine.
+//! the summary recorded in EXPERIMENTS.md. Host time of the same
+//! primitives and of the compile passes is the standalone `benchmark/`
+//! package's business: its traced runs (`--trace 1`) report
+//! `runtime.guard_hit_ns`, `runtime.guard_miss_ns`, `net.sim_fetch_ns` and
+//! `passes.*_ms`.
 
 use cards_baselines::{run_system, MemoryBudget, RunResult, System};
 use cards_ir::{FuncId, Module};
@@ -143,6 +145,5 @@ mod tests {
 
 pub mod core;
 pub mod figures;
-pub mod microbench;
 pub mod profile;
 pub mod telemetry;

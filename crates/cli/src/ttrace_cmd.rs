@@ -12,6 +12,7 @@
 //! `cards ttrace diff <a.json> <b.json>` compares two `cards-ttrace-v1`
 //! exports and localizes which phase and which guard site regressed.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
 
@@ -121,6 +122,98 @@ fn delta_str(a: u64, b: u64) -> String {
     format!("{:+} ({:+.1}%)", d, 100.0 * d as f64 / a as f64)
 }
 
+/// A numeric JSON value as cycles; anything else counts as 0.
+fn cycles_of(v: &Json) -> u64 {
+    match v {
+        Json::Num(n) => *n as u64,
+        _ => 0,
+    }
+}
+
+/// One compared quantity of a `ttrace diff` table.
+struct Row {
+    /// Its name in the verdict line (`wire`, `#3`).
+    name: String,
+    /// Its label cells in the table.
+    label: String,
+    a: u64,
+    b: u64,
+}
+
+/// The one comparison routine behind every `ttrace diff` table: `title`,
+/// a header whose label cells are `head`, one line per row, and a verdict
+/// naming the `what` that grew most in `unit`s (by absolute growth, the
+/// first of equals). A phase table skips rows that are zero in both runs
+/// and quotes both values in its verdict.
+fn compare(s: &mut String, title: &str, head: &str, what: &str, unit: &str, rows: &[Row]) {
+    let phases = what == "phase";
+    let _ = writeln!(s, "{title}");
+    let _ = writeln!(s, "  {head} {:>14} {:>14}  delta", "a", "b");
+    let mut worst: Option<(&Row, i128)> = None;
+    for r in rows {
+        if phases && r.a == 0 && r.b == 0 {
+            continue;
+        }
+        let _ = writeln!(
+            s,
+            "  {} {:>14} {:>14}  {}",
+            r.label,
+            r.a,
+            r.b,
+            delta_str(r.a, r.b)
+        );
+        let d = r.b as i128 - r.a as i128;
+        if d > 0 && worst.is_none_or(|w| d > w.1) {
+            worst = Some((r, d));
+        }
+    }
+    let _ = match worst {
+        Some((r, d)) if phases => writeln!(
+            s,
+            "regressed {what}: {} (+{d} {unit}, {} -> {})",
+            r.name, r.a, r.b
+        ),
+        Some((r, d)) => writeln!(s, "regressed {what}: {} (+{d} {unit})", r.name),
+        None => writeln!(s, "regressed {what}: none (no {what} grew)"),
+    };
+}
+
+/// [`compare`] over phases, given as `(phase, [a, b])` cycle pairs.
+fn compare_phases(
+    s: &mut String,
+    title: &str,
+    phases: impl IntoIterator<Item = (String, [u64; 2])>,
+) {
+    let rows: Vec<Row> = phases
+        .into_iter()
+        .map(|(k, [a, b])| Row {
+            label: format!("{k:<16}"),
+            name: k,
+            a,
+            b,
+        })
+        .collect();
+    compare(
+        s,
+        title,
+        &format!("{:<16}", "phase"),
+        "phase",
+        "cycles",
+        &rows,
+    );
+}
+
+/// Ids of `key` over the entries of both runs' `arr` arrays, in order.
+fn ids_of(ja: &Json, jb: &Json, arr: &str, key: &str) -> BTreeSet<u64> {
+    let entries = ja.arr_of(arr).iter().chain(jb.arr_of(arr));
+    entries.map(|e| e.u64_of(key)).collect()
+}
+
+/// The first entry of `j`'s `arr` array whose `key` is `id`.
+fn entry<'j>(j: &'j Json, arr: &str, key: &str, id: u64) -> Option<&'j Json> {
+    j.arr_of(arr).iter().find(|e| e.u64_of(key) == id)
+}
+
 /// `cards ttrace diff <a.json> <b.json>`: field-by-field comparison of two
 /// trace exports, localizing the phase and guard site that regressed most
 /// (by absolute cycle growth).
@@ -180,78 +273,20 @@ fn cmd_diff(a: &Args) -> Result<(), String> {
     }
 
     // ---- per-phase comparison (exports list every kind, same order) ----
-    let _ = writeln!(s, "phase breakdown (cumulative self-cycles):");
-    let _ = writeln!(s, "  {:<16} {:>14} {:>14}  delta", "phase", "a", "b");
-    let mut worst_phase: Option<(String, i128, u64, u64)> = None;
-    for (k, va) in ja.obj_of("phases") {
-        let av = match va {
-            Json::Num(n) => *n as u64,
-            _ => 0,
-        };
-        let bv = jb.get("phases").map(|p| p.u64_of(k)).unwrap_or(0);
-        if av == 0 && bv == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            s,
-            "  {:<16} {:>14} {:>14}  {}",
-            k,
-            av,
-            bv,
-            delta_str(av, bv)
-        );
-        let d = bv as i128 - av as i128;
-        if d > 0 && worst_phase.as_ref().is_none_or(|w| d > w.1) {
-            worst_phase = Some((k.clone(), d, av, bv));
-        }
-    }
-    match &worst_phase {
-        Some((k, d, av, bv)) => {
-            let _ = writeln!(
-                s,
-                "regressed phase: {} (+{} cycles, {} -> {})",
-                k, d, av, bv
-            );
-        }
-        None => {
-            let _ = writeln!(s, "regressed phase: none (no phase grew)");
-        }
-    }
+    let bp = jb.get("phases");
+    let phases = ja.obj_of("phases").iter().map(|(k, va)| {
+        let bv = bp.map(|p| p.u64_of(k)).unwrap_or(0);
+        (k.clone(), [cycles_of(va), bv])
+    });
+    compare_phases(&mut s, "phase breakdown (cumulative self-cycles):", phases);
 
     // ---- per-site comparison ----
-    let site_of = |j: &Json, sid: u64| -> (u64, u64) {
-        for e in j.arr_of("sites") {
-            if e.u64_of("site") == sid {
-                return (e.u64_of("ops"), e.u64_of("cycles"));
-            }
-        }
-        (0, 0)
-    };
-    let mut sids: Vec<u64> = Vec::new();
-    for j in [&ja, &jb] {
-        for e in j.arr_of("sites") {
-            let sid = e.u64_of("site");
-            if !sids.contains(&sid) {
-                sids.push(sid);
-            }
-        }
-    }
-    sids.sort_unstable();
-    if !sids.is_empty() {
-        let _ = writeln!(s, "per-site totals (cycles):");
-        let _ = writeln!(
-            s,
-            "  {:<6} {:<24} {:>14} {:>14}  delta",
-            "site", "location", "a", "b"
-        );
-        let mut worst_site: Option<(u64, i128)> = None;
-        for sid in &sids {
-            let (_, ca) = site_of(&ja, *sid);
-            let (_, cb) = site_of(&jb, *sid);
-            let loc = [&jb, &ja]
-                .iter()
-                .flat_map(|j| j.arr_of("sites"))
-                .find(|e| e.u64_of("site") == *sid)
+    let sites: Vec<Row> = ids_of(&ja, &jb, "sites", "site")
+        .into_iter()
+        .map(|sid| {
+            let site = |j| entry(j, "sites", "site", sid);
+            let loc = site(&jb)
+                .or_else(|| site(&ja))
                 .map(|e| {
                     let (f, bl) = (e.str_of("func"), e.str_of("block"));
                     if bl.is_empty() {
@@ -261,28 +296,25 @@ fn cmd_diff(a: &Args) -> Result<(), String> {
                     }
                 })
                 .unwrap_or_default();
-            let _ = writeln!(
-                s,
-                "  #{:<5} {:<24} {:>14} {:>14}  {}",
-                sid,
-                loc,
-                ca,
-                cb,
-                delta_str(ca, cb)
-            );
-            let d = cb as i128 - ca as i128;
-            if d > 0 && worst_site.as_ref().is_none_or(|w| d > w.1) {
-                worst_site = Some((*sid, d));
+            let cycles = |j| site(j).map_or(0, |e| e.u64_of("cycles"));
+            Row {
+                name: format!("#{sid}"),
+                label: format!("#{sid:<5} {loc:<24}"),
+                a: cycles(&ja),
+                b: cycles(&jb),
             }
-        }
-        match worst_site {
-            Some((sid, d)) => {
-                let _ = writeln!(s, "regressed site: #{sid} (+{d} cycles)");
-            }
-            None => {
-                let _ = writeln!(s, "regressed site: none (no site grew)");
-            }
-        }
+        })
+        .collect();
+    if !sites.is_empty() {
+        let head = format!("{:<6} {:<24}", "site", "location");
+        compare(
+            &mut s,
+            "per-site totals (cycles):",
+            &head,
+            "site",
+            "cycles",
+            &sites,
+        );
     }
     match a.options.get("out") {
         Some(path) => fs::write(path, s).map_err(|e| format!("{path}: {e}"))?,
@@ -351,110 +383,50 @@ fn diff_fleet(a: &Args, pa: &str, pb: &str, ja: &Json, jb: &Json) -> Result<(), 
     }
 
     // ---- per-shard server cycles ----
-    let shard_cycles = |j: &Json, sid: u64| -> u64 {
-        j.arr_of("per_shard")
-            .iter()
-            .find(|e| e.u64_of("shard") == sid)
-            .map(|e| e.u64_of("server_cycles"))
-            .unwrap_or(0)
-    };
-    let mut sids: Vec<u64> = Vec::new();
-    for j in [ja, jb] {
-        for e in j.arr_of("per_shard") {
-            let sid = e.u64_of("shard");
-            if !sids.contains(&sid) {
-                sids.push(sid);
+    let shards: Vec<Row> = ids_of(ja, jb, "per_shard", "shard")
+        .into_iter()
+        .map(|sid| {
+            let cycles =
+                |j| entry(j, "per_shard", "shard", sid).map_or(0, |e| e.u64_of("server_cycles"));
+            Row {
+                name: format!("#{sid}"),
+                label: format!("#{sid:<5}"),
+                a: cycles(ja),
+                b: cycles(jb),
             }
-        }
-    }
-    sids.sort_unstable();
-    let _ = writeln!(s, "per-shard server cycles:");
-    let _ = writeln!(s, "  {:<6} {:>14} {:>14}  delta", "shard", "a", "b");
-    let mut worst_shard: Option<(u64, i128)> = None;
-    for sid in &sids {
-        let (ca, cb) = (shard_cycles(ja, *sid), shard_cycles(jb, *sid));
-        let _ = writeln!(
-            s,
-            "  #{:<5} {:>14} {:>14}  {}",
-            sid,
-            ca,
-            cb,
-            delta_str(ca, cb)
-        );
-        let d = cb as i128 - ca as i128;
-        if d > 0 && worst_shard.as_ref().is_none_or(|w| d > w.1) {
-            worst_shard = Some((*sid, d));
-        }
-    }
-    match worst_shard {
-        Some((sid, d)) => {
-            let _ = writeln!(s, "regressed shard: #{sid} (+{d} server cycles)");
-        }
-        None => {
-            let _ = writeln!(s, "regressed shard: none (no shard grew)");
-        }
-    }
+        })
+        .collect();
+    let head = format!("{:<6}", "shard");
+    compare(
+        &mut s,
+        "per-shard server cycles:",
+        &head,
+        "shard",
+        "server cycles",
+        &shards,
+    );
 
-    // ---- cluster-wide phase totals (summed over workers) ----
-    let phase_totals = |j: &Json| -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = Vec::new();
-        for w in j.arr_of("per_worker") {
-            for (k, v) in w.obj_of("phases") {
-                let c = match v {
-                    Json::Num(n) if *n >= 0.0 => *n as u64,
-                    _ => 0,
-                };
-                match out.iter_mut().find(|(name, _)| name == k) {
-                    Some((_, total)) => *total += c,
-                    None => out.push((k.clone(), c)),
-                }
-            }
-        }
-        out
-    };
-    let (ta, tb) = (phase_totals(ja), phase_totals(jb));
-    let total_of = |t: &[(String, u64)], k: &str| -> u64 {
-        t.iter().find(|(n, _)| n == k).map(|(_, c)| *c).unwrap_or(0)
-    };
-    let mut names: Vec<String> = ta.iter().map(|(n, _)| n.clone()).collect();
-    for (n, _) in &tb {
-        if !names.contains(n) {
-            names.push(n.clone());
+    // ---- cluster-wide phase totals (summed over workers), in order of
+    // first appearance in run a, then in run b ----
+    let mut totals: Vec<(String, [u64; 2])> = Vec::new();
+    for (run, j) in [ja, jb].into_iter().enumerate() {
+        for (k, v) in j
+            .arr_of("per_worker")
+            .iter()
+            .flat_map(|w| w.obj_of("phases"))
+        {
+            let i = totals.iter().position(|(n, _)| n == k).unwrap_or_else(|| {
+                totals.push((k.clone(), [0, 0]));
+                totals.len() - 1
+            });
+            totals[i].1[run] += cycles_of(v);
         }
     }
-    let _ = writeln!(s, "cluster phase totals (cycles, summed over workers):");
-    let _ = writeln!(s, "  {:<16} {:>14} {:>14}  delta", "phase", "a", "b");
-    let mut worst_phase: Option<(String, i128, u64, u64)> = None;
-    for k in &names {
-        let (av, bv) = (total_of(&ta, k), total_of(&tb, k));
-        if av == 0 && bv == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            s,
-            "  {:<16} {:>14} {:>14}  {}",
-            k,
-            av,
-            bv,
-            delta_str(av, bv)
-        );
-        let d = bv as i128 - av as i128;
-        if d > 0 && worst_phase.as_ref().is_none_or(|w| d > w.1) {
-            worst_phase = Some((k.clone(), d, av, bv));
-        }
-    }
-    match &worst_phase {
-        Some((k, d, av, bv)) => {
-            let _ = writeln!(
-                s,
-                "regressed phase: {} (+{} cycles, {} -> {})",
-                k, d, av, bv
-            );
-        }
-        None => {
-            let _ = writeln!(s, "regressed phase: none (no phase grew)");
-        }
-    }
+    compare_phases(
+        &mut s,
+        "cluster phase totals (cycles, summed over workers):",
+        totals,
+    );
     match a.options.get("out") {
         Some(path) => fs::write(path, s).map_err(|e| format!("{path}: {e}"))?,
         None => println!("{s}"),

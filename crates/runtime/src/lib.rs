@@ -61,7 +61,7 @@ pub(crate) fn align_up(v: u64, align: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cards_net::{NetworkModel, SimTransport};
+    use cards_net::{NetworkModel, ObjKey, SimTransport, Transport};
 
     fn rt(pinned: u64, remotable: u64) -> FarMemRuntime<SimTransport> {
         FarMemRuntime::new(
@@ -249,6 +249,37 @@ mod tests {
         assert_eq!(r.pinned_used(), 16384);
         r.free(p).unwrap();
         assert_eq!(r.pinned_used(), 0);
+    }
+
+    /// Evacuating a pinned object is a no-op: its bytes stay local and
+    /// counted, so the next guard and read still find them.
+    #[test]
+    fn evacuate_leaves_a_pinned_object_in_place() {
+        let mut r = rt(1 << 20, 1 << 20);
+        let h = r.register_ds(DsSpec::simple("a"), StaticHint::Pinned);
+        let (p, _) = r.ds_alloc(h, 4096).unwrap();
+        r.write_u64(p, 0xfeed).unwrap();
+        assert_eq!(r.evacuate(p), Ok(0));
+        assert_eq!(r.pinned_used(), 4096);
+        assert_eq!(r.net_stats().writebacks, 0);
+        r.guard(p, Access::Read, 8).unwrap();
+        assert_eq!(r.read_u64(p).unwrap().0, 0xfeed);
+    }
+
+    /// Evacuating an object that is already remote is a no-op, so a later
+    /// free still removes it from the server.
+    #[test]
+    fn evacuating_twice_then_free_removes_the_remote_copy() {
+        let mut r = rt(0, 1 << 20);
+        let h = r.register_ds(DsSpec::simple("a"), StaticHint::Remotable);
+        let (p, _) = r.ds_alloc(h, 4096).unwrap();
+        r.write_u64(p, 7).unwrap();
+        assert!(r.evacuate(p).unwrap() > 0);
+        assert_eq!(r.evacuate(p), Ok(0));
+        assert_eq!(r.transport().remote_bytes(), 4096);
+        r.free(p).unwrap();
+        assert!(!r.transport().contains(ObjKey { ds: 0, index: 0 }));
+        assert_eq!(r.transport().remote_bytes(), 0);
     }
 
     #[test]
@@ -476,6 +507,58 @@ mod tests {
             want.iter()
                 .map(|(a, b)| (a.to_string(), b.to_string()))
                 .collect::<Vec<_>>()
+        );
+    }
+
+    /// A half-open probe that fails re-opens the breaker, and that edge is
+    /// recorded like the other three.
+    #[test]
+    fn failed_half_open_probe_reopens_the_breaker() {
+        use cards_net::{ChaosPhase, ChaosSchedule, ChaosTransport, ScheduledPhase};
+        // The trail test's schedule, plus a one-op partition that fails the
+        // probe: ops 0-1 evacuate, 2-6 trip the breaker, 7 serves p0, 8 is
+        // the probe for p1, 9 serves it.
+        let phase = |phase, ops| ScheduledPhase { phase, ops };
+        let sched = ChaosSchedule {
+            phases: vec![
+                phase(ChaosPhase::Healthy, 2),
+                phase(ChaosPhase::Partition, 5),
+                phase(ChaosPhase::Healthy, 1),
+                phase(ChaosPhase::Partition, 1),
+                phase(ChaosPhase::Healthy, 1000),
+            ],
+            repeat: false,
+            seed: 1,
+        };
+        let cfg = RuntimeConfig::new(0, 1 << 20)
+            .with_breaker(3, 50_000)
+            .with_max_retries(16)
+            .with_journal(0);
+        let mut r = FarMemRuntime::new(cfg, ChaosTransport::new(sched));
+        let h = r.register_ds(DsSpec::simple("d"), StaticHint::Remotable);
+        let (p, _) = r.ds_alloc(h, 2 * 4096).unwrap();
+        r.evacuate(p).unwrap();
+        r.evacuate(p.add(4096)).unwrap();
+        r.guard(p, Access::Read, 8).unwrap();
+        assert!(r.now() >= 50_000, "the cooldown has passed");
+        r.guard(p.add(4096), Access::Read, 8).unwrap();
+        assert_eq!(r.breaker_state(h), Some("open"));
+        assert_eq!(r.ds_stats(h).unwrap().breaker_trips, 1);
+        let trail: Vec<(&str, &str)> = r
+            .telemetry()
+            .events()
+            .filter_map(|e| match e.kind {
+                EventKind::Breaker { from, to, .. } => Some((from, to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            trail,
+            [
+                ("closed", "open"),
+                ("open", "half_open"),
+                ("half_open", "open")
+            ]
         );
     }
 

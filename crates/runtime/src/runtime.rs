@@ -126,6 +126,18 @@ impl BreakerState {
     }
 }
 
+/// One remote operation on a DS object, as the attempt loop
+/// ([`FarMemRuntime::remote`]) sends it.
+#[derive(Clone, Copy)]
+enum RemoteOp<'a> {
+    /// Fetch the object; a batched fetch overlaps its link latency.
+    Fetch { batched: bool },
+    /// Write the object's bytes back.
+    Put(&'a [u8]),
+    /// Free the object on the server.
+    Remove,
+}
+
 struct DsState {
     spec: DsSpec,
     hint: StaticHint,
@@ -179,6 +191,12 @@ impl DsState {
 
     fn take_obj(&mut self, idx: u64) -> Option<ObjState> {
         self.objects.get_mut(idx as usize)?.take()
+    }
+
+    /// Whether object `idx` is resident and unpinned: the only kind
+    /// eviction may take.
+    fn evictable(&self, idx: u64) -> bool {
+        matches!(self.obj(idx), Some(ObjState::Local { pinned: false, .. }))
     }
 
     /// Present objects with their indices, in index order.
@@ -591,7 +609,8 @@ impl<T: Transport> FarMemRuntime<T> {
                         }
                     }
                     ObjState::Remote => {
-                        self.remove_with_retry(key, &mut cycles)?;
+                        self.remote(key, RemoteOp::Remove, &mut cycles)?;
+                        self.check_generation(&mut cycles)?;
                     }
                 }
             }
@@ -844,7 +863,7 @@ impl<T: Transport> FarMemRuntime<T> {
         );
         cycles += self.cfg.costs.remote_extra;
         // Greedy-recursive prefetchers inspect the payload for pointers.
-        let chased = self.ds[dsi].prefetcher.observe_bytes(idx, &fetched.bytes);
+        let chased = self.ds[dsi].prefetcher.observe_bytes(idx, &fetched);
         // Re-check the breaker *after* the fetch: it may have tripped during
         // the retries. Degraded DSs keep what they localize pinned; a
         // governor-promoted DS gets a soft pin while pinned room remains.
@@ -861,7 +880,7 @@ impl<T: Transport> FarMemRuntime<T> {
         self.ds[dsi].set_obj(
             idx,
             ObjState::Local {
-                data: fetched.bytes.into_boxed_slice(),
+                data: fetched.into_boxed_slice(),
                 dirty: false,
                 pinned,
                 ref_bit: true,
@@ -1008,7 +1027,7 @@ impl<T: Transport> FarMemRuntime<T> {
         self.ds[dsi].set_obj(
             idx,
             ObjState::Local {
-                data: fetched.bytes.into_boxed_slice(),
+                data: fetched.into_boxed_slice(),
                 dirty: false,
                 pinned: false,
                 ref_bit: false,
@@ -1084,49 +1103,33 @@ impl<T: Transport> FarMemRuntime<T> {
         capped / 2 + rng.next_below(capped / 2 + 1)
     }
 
-    /// Book-keep one failed attempt: error classification, breaker feed,
-    /// retry pricing (wasted RTT + backoff wait), and the Retry event.
-    fn account_retry(
+    /// Price one failed attempt: count its error class and the retry, and
+    /// charge the wasted round trip plus the backoff wait, with their
+    /// histogram samples and Retry/Backoff trace leaves. Shared by the
+    /// attempt loop ([`Self::remote`]) and the journal flush. Returns the
+    /// backoff.
+    fn price_retry(
         &mut self,
         key: ObjKey,
         e: &NetError,
         attempt: u32,
         write: bool,
         cycles: &mut u64,
-    ) {
+    ) -> u64 {
         self.classify_failure(e);
-        self.breaker_on_failure(key.ds as u16);
         self.stats.retries += 1;
         let rtt = self.transport.rtt_cost();
-        *cycles += rtt;
         let backoff = self.backoff_for(key, attempt, write);
-        *cycles += backoff;
+        *cycles += rtt + backoff;
         self.stats.backoff_cycles += backoff;
         self.telemetry.record(HistPath::RetryAttempt, rtt);
         self.telemetry.record(HistPath::BackoffSleep, backoff);
-        if let Some(d) = self.ds.get_mut(key.ds as usize) {
-            d.stats.retry_attempts += 1;
-        }
+        let ds = key.ds as u16;
         self.tracer
-            .leaf(SpanKind::Retry, key.ds as u16, key.index, rtt, attempt);
-        self.tracer.leaf(
-            SpanKind::Backoff,
-            key.ds as u16,
-            key.index,
-            backoff,
-            attempt,
-        );
-        let cycle = self.stats.cycles;
-        self.telemetry.emit(
-            cycle,
-            EventKind::Retry {
-                ds: key.ds as u16,
-                index: key.index,
-                attempt,
-                write,
-                backoff,
-            },
-        );
+            .leaf(SpanKind::Retry, ds, key.index, rtt, attempt);
+        self.tracer
+            .leaf(SpanKind::Backoff, ds, key.index, backoff, attempt);
+        backoff
     }
 
     /// Drain fault-handling events the transport accumulated (failovers it
@@ -1161,161 +1164,122 @@ impl<T: Transport> FarMemRuntime<T> {
         }
     }
 
-    /// A remote op that succeeded after `attempts` tries: count it as
-    /// retried when more than one attempt was needed.
-    fn note_retried_op(&mut self, ds: u16, attempts: u32) {
-        if attempts > 1 {
-            if let Some(d) = self.ds.get_mut(ds as usize) {
-                d.stats.retried_ops += 1;
+    /// The one attempt loop behind every remote operation on a DS object:
+    /// send `op` until it succeeds, fails terminally or runs out of
+    /// retries. Each attempt first lets an expired open breaker go
+    /// half-open; each retryable failure is priced and fed to the breaker.
+    /// A fetch that finds its object gone from the server but still in the
+    /// journal (a restart dropped it unacknowledged) replays it and is
+    /// served from the journal. Returns the fetched bytes, empty for a put
+    /// or a remove. Generation checks are the callers' business: each runs
+    /// one where its journal ordering needs it.
+    fn remote(
+        &mut self,
+        key: ObjKey,
+        op: RemoteOp<'_>,
+        cycles: &mut u64,
+    ) -> Result<Vec<u8>, RtError> {
+        let ds = key.ds as u16;
+        let write = !matches!(op, RemoteOp::Fetch { .. });
+        let ctx = self.tracer.context();
+        self.transport.set_trace_context(ctx);
+        let mut attempts: u32 = 0;
+        loop {
+            attempts += 1;
+            self.breaker_pre_op(ds);
+            let r = match op {
+                RemoteOp::Fetch { batched: false } => {
+                    self.transport.fetch(key).map(|f| (f.cycles, f.bytes))
+                }
+                RemoteOp::Fetch { batched: true } => self
+                    .transport
+                    .fetch_batched(key)
+                    .map(|f| (f.cycles, f.bytes)),
+                RemoteOp::Put(data) => self.transport.put(key, data).map(|c| (c, Vec::new())),
+                RemoteOp::Remove => self.transport.remove(key).map(|c| (c, Vec::new())),
+            };
+            self.drain_fault_events(ds, key.index);
+            match r {
+                Ok((c, bytes)) => {
+                    *cycles += c;
+                    self.tracer.leaf(SpanKind::Wire, ds, key.index, c, 0);
+                    if attempts > 1 {
+                        if let Some(d) = self.ds.get_mut(ds as usize) {
+                            d.stats.retried_ops += 1;
+                        }
+                    }
+                    self.breaker_on_success(ds);
+                    return Ok(bytes);
+                }
+                Err(NetError::NotFound(_)) if !write && self.journal.contains_key(&key) => {
+                    // Crash recovery: re-put the journaled bytes, serve them.
+                    let data = self.journal[&key].clone();
+                    self.replay(key, &data, cycles)?;
+                    self.breaker_on_success(ds);
+                    return Ok(data);
+                }
+                Err(e) if Self::retryable(&e) && attempts <= self.cfg.max_retries => {
+                    self.breaker_on_failure(ds);
+                    let backoff = self.price_retry(key, &e, attempts, write, cycles);
+                    if let Some(d) = self.ds.get_mut(ds as usize) {
+                        d.stats.retry_attempts += 1;
+                    }
+                    let cycle = self.stats.cycles;
+                    self.telemetry.emit(
+                        cycle,
+                        EventKind::Retry {
+                            ds,
+                            index: key.index,
+                            attempt: attempts,
+                            write,
+                            backoff,
+                        },
+                    );
+                }
+                Err(e) => {
+                    if Self::retryable(&e) {
+                        self.classify_failure(&e);
+                        self.breaker_on_failure(ds);
+                    }
+                    let cycle = self.stats.cycles;
+                    self.telemetry.emit(
+                        cycle,
+                        EventKind::NetAbort {
+                            ds,
+                            index: key.index,
+                            attempts,
+                            write,
+                        },
+                    );
+                    return Err(RtError::Net(e));
+                }
             }
         }
     }
 
-    /// A remote op gave up (retries exhausted or terminal error): emit the
-    /// terminal-failure event before surfacing `RtError::Net`.
-    fn emit_net_abort(&mut self, key: ObjKey, attempts: u32, write: bool) {
-        let cycle = self.stats.cycles;
-        self.telemetry.emit(
-            cycle,
-            EventKind::NetAbort {
-                ds: key.ds as u16,
-                index: key.index,
-                attempts,
-                write,
-            },
-        );
-    }
-
+    /// Fetch `key` through the attempt loop, then check for a restart. A
+    /// fetch served from the journal usually means the server restarted:
+    /// the check records the crash and replays the rest of the journal now
+    /// rather than lazily.
     fn fetch_with_retry(
         &mut self,
         key: ObjKey,
         batched: bool,
         cycles: &mut u64,
-    ) -> Result<cards_net::Fetched, RtError> {
-        let ds = key.ds as u16;
-        let ctx = self.tracer.context();
-        self.transport.set_trace_context(ctx);
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            self.breaker_pre_op(ds);
-            let r = if batched {
-                self.transport.fetch_batched(key)
-            } else {
-                self.transport.fetch(key)
-            };
-            self.drain_fault_events(ds, key.index);
-            match r {
-                Ok(f) => {
-                    *cycles += f.cycles;
-                    self.tracer.leaf(SpanKind::Wire, ds, key.index, f.cycles, 0);
-                    self.note_retried_op(ds, attempts);
-                    self.breaker_on_success(ds);
-                    self.check_generation(cycles)?;
-                    return Ok(f);
-                }
-                Err(NetError::NotFound(_)) => {
-                    // Crash recovery: the server lost the object (dropped
-                    // as unacknowledged in a restart) but the journal still
-                    // has the bytes — re-put them and serve from the
-                    // journal.
-                    if let Some(data) = self.journal.get(&key).cloned() {
-                        let before = *cycles;
-                        // The replay span absorbs the recovery put's wire
-                        // cost (paused: no child Wire leaf), so the
-                        // journal-replay phase owns these cycles.
-                        self.tracer.begin(SpanKind::JournalReplay, ds, key.index);
-                        self.tracer.pause();
-                        let put = self.raw_put_with_retry(key, &data, cycles);
-                        self.tracer.unpause();
-                        self.tracer.end(*cycles - before);
-                        put?;
-                        self.stats.journal_replays += 1;
-                        let cycle = self.stats.cycles;
-                        self.telemetry.emit(
-                            cycle,
-                            EventKind::JournalReplay {
-                                ds,
-                                index: key.index,
-                                bytes: data.len() as u64,
-                            },
-                        );
-                        self.breaker_on_success(ds);
-                        // A lost-but-journaled object usually means the
-                        // server restarted; record the crash and replay the
-                        // rest of the journal now rather than lazily.
-                        self.check_generation(cycles)?;
-                        return Ok(cards_net::Fetched {
-                            bytes: data,
-                            cycles: 0,
-                        });
-                    }
-                    self.emit_net_abort(key, attempts, false);
-                    return Err(RtError::Net(NetError::NotFound(key)));
-                }
-                Err(e) if Self::retryable(&e) && attempts <= self.cfg.max_retries => {
-                    self.account_retry(key, &e, attempts, false, cycles);
-                }
-                Err(e) => {
-                    if Self::retryable(&e) {
-                        self.classify_failure(&e);
-                        self.breaker_on_failure(ds);
-                    }
-                    self.emit_net_abort(key, attempts, false);
-                    return Err(RtError::Net(e));
-                }
-            }
-        }
+    ) -> Result<Vec<u8>, RtError> {
+        let bytes = self.remote(key, RemoteOp::Fetch { batched }, cycles)?;
+        self.check_generation(cycles)?;
+        Ok(bytes)
     }
 
-    /// The bare put retry loop: no journaling, no generation check. Used
-    /// both by [`Self::put_with_retry`] and by journal replay itself (which
-    /// must not recurse into the journal).
-    fn raw_put_with_retry(
-        &mut self,
-        key: ObjKey,
-        data: &[u8],
-        cycles: &mut u64,
-    ) -> Result<(), RtError> {
-        let ds = key.ds as u16;
-        let ctx = self.tracer.context();
-        self.transport.set_trace_context(ctx);
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            self.breaker_pre_op(ds);
-            let r = self.transport.put(key, data);
-            self.drain_fault_events(ds, key.index);
-            match r {
-                Ok(c) => {
-                    *cycles += c;
-                    self.tracer.leaf(SpanKind::Wire, ds, key.index, c, 0);
-                    self.note_retried_op(ds, attempts);
-                    self.breaker_on_success(ds);
-                    return Ok(());
-                }
-                Err(e) if Self::retryable(&e) && attempts <= self.cfg.max_retries => {
-                    self.account_retry(key, &e, attempts, true, cycles);
-                }
-                Err(e) => {
-                    if Self::retryable(&e) {
-                        self.classify_failure(&e);
-                        self.breaker_on_failure(ds);
-                    }
-                    self.emit_net_abort(key, attempts, true);
-                    return Err(RtError::Net(e));
-                }
-            }
-        }
-    }
-
+    /// Write `data` back through the attempt loop and journal it.
     fn put_with_retry(
         &mut self,
         key: ObjKey,
         data: &[u8],
         cycles: &mut u64,
     ) -> Result<(), RtError> {
-        self.raw_put_with_retry(key, data, cycles)?;
+        self.remote(key, RemoteOp::Put(data), cycles)?;
         // Journal the payload until a flush acknowledges it as durable.
         // Journal *before* the generation check: a crash during this put's
         // retries replays the journal, and that replay must carry these
@@ -1338,7 +1302,8 @@ impl<T: Transport> FarMemRuntime<T> {
     /// An acknowledgement only counts within one server generation: if a
     /// crash landed during this flush's own retries, it dropped every
     /// unacknowledged put, so the journal is replayed and flushed again
-    /// before it is cleared.
+    /// before it is cleared. Its own loop: a flush has no DS and no
+    /// breaker, and any terminal failure keeps the journal.
     fn flush_journal(&mut self, cycles: &mut u64) {
         let ctx = self.tracer.context();
         self.transport.set_trace_context(ctx);
@@ -1365,17 +1330,7 @@ impl<T: Transport> FarMemRuntime<T> {
                     }
                 }
                 Err(e) if Self::retryable(&e) && attempts <= self.cfg.max_retries => {
-                    self.classify_failure(&e);
-                    self.stats.retries += 1;
-                    let rtt = self.transport.rtt_cost();
-                    *cycles += rtt;
-                    let backoff = self.backoff_for(ObjKey { ds: 0, index: 0 }, attempts, true);
-                    *cycles += backoff;
-                    self.stats.backoff_cycles += backoff;
-                    self.telemetry.record(HistPath::RetryAttempt, rtt);
-                    self.telemetry.record(HistPath::BackoffSleep, backoff);
-                    self.tracer.leaf(SpanKind::Retry, 0, 0, rtt, attempts);
-                    self.tracer.leaf(SpanKind::Backoff, 0, 0, backoff, attempts);
+                    self.price_retry(ObjKey { ds: 0, index: 0 }, &e, attempts, true, cycles);
                 }
                 Err(e) => {
                     self.classify_failure(&e);
@@ -1387,39 +1342,28 @@ impl<T: Transport> FarMemRuntime<T> {
         }
     }
 
-    /// Retry-tolerant server-side free.
-    fn remove_with_retry(&mut self, key: ObjKey, cycles: &mut u64) -> Result<(), RtError> {
-        let ds = key.ds as u16;
-        let ctx = self.tracer.context();
-        self.transport.set_trace_context(ctx);
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            self.breaker_pre_op(ds);
-            let r = self.transport.remove(key);
-            self.drain_fault_events(ds, key.index);
-            match r {
-                Ok(c) => {
-                    *cycles += c;
-                    self.tracer.leaf(SpanKind::Wire, ds, key.index, c, 0);
-                    self.note_retried_op(ds, attempts);
-                    self.breaker_on_success(ds);
-                    self.check_generation(cycles)?;
-                    return Ok(());
-                }
-                Err(e) if Self::retryable(&e) && attempts <= self.cfg.max_retries => {
-                    self.account_retry(key, &e, attempts, true, cycles);
-                }
-                Err(e) => {
-                    if Self::retryable(&e) {
-                        self.classify_failure(&e);
-                        self.breaker_on_failure(ds);
-                    }
-                    self.emit_net_abort(key, attempts, true);
-                    return Err(RtError::Net(e));
-                }
-            }
-        }
+    /// The one journal-replay step: re-put `key`'s journaled `data`. The
+    /// replay span absorbs the put's wire cost (paused: no child Wire
+    /// leaf), so the journal-replay phase owns these cycles.
+    fn replay(&mut self, key: ObjKey, data: &[u8], cycles: &mut u64) -> Result<(), RtError> {
+        let (ds, before) = (key.ds as u16, *cycles);
+        self.tracer.begin(SpanKind::JournalReplay, ds, key.index);
+        self.tracer.pause();
+        let put = self.remote(key, RemoteOp::Put(data), cycles);
+        self.tracer.unpause();
+        self.tracer.end(*cycles - before);
+        put?;
+        self.stats.journal_replays += 1;
+        let cycle = self.stats.cycles;
+        self.telemetry.emit(
+            cycle,
+            EventKind::JournalReplay {
+                ds,
+                index: key.index,
+                bytes: data.len() as u64,
+            },
+        );
+        Ok(())
     }
 
     /// Detect a server crash/restart (generation bump) and replay every
@@ -1437,26 +1381,7 @@ impl<T: Transport> FarMemRuntime<T> {
         let entries: Vec<(ObjKey, Vec<u8>)> =
             self.journal.iter().map(|(k, v)| (*k, v.clone())).collect();
         for (k, data) in entries {
-            let before = *cycles;
-            // As in the NotFound path: the replay span absorbs the wire
-            // cost so journal-replay cycles are separately accounted.
-            self.tracer
-                .begin(SpanKind::JournalReplay, k.ds as u16, k.index);
-            self.tracer.pause();
-            let put = self.raw_put_with_retry(k, &data, cycles);
-            self.tracer.unpause();
-            self.tracer.end(*cycles - before);
-            put?;
-            self.stats.journal_replays += 1;
-            let cycle = self.stats.cycles;
-            self.telemetry.emit(
-                cycle,
-                EventKind::JournalReplay {
-                    ds: k.ds as u16,
-                    index: k.index,
-                    bytes: data.len() as u64,
-                },
-            );
+            self.replay(k, &data, cycles)?;
         }
         Ok(())
     }
@@ -1469,99 +1394,79 @@ impl<T: Transport> FarMemRuntime<T> {
             .is_some_and(|d| d.breaker != BreakerState::Closed)
     }
 
+    /// Whether DS `handle` has a breaker to feed.
+    fn breaker_armed(&self, handle: u16) -> bool {
+        self.cfg.breaker_threshold > 0 && (handle as usize) < self.ds.len()
+    }
+
+    /// The one breaker-edge recorder: move DS `handle`'s breaker to `to`
+    /// and record the edge as a trace leaf and a telemetry event.
+    fn breaker_edge(&mut self, handle: u16, to: BreakerState) {
+        let from = std::mem::replace(&mut self.ds[handle as usize].breaker, to);
+        let edge = match (from, to) {
+            (BreakerState::Closed, _) => "closed->open",
+            (BreakerState::Open { .. }, _) => "open->half_open",
+            (BreakerState::HalfOpen, BreakerState::Closed) => "half_open->closed",
+            (BreakerState::HalfOpen, _) => "half_open->open",
+        };
+        self.tracer
+            .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, edge);
+        let cycle = self.stats.cycles;
+        self.telemetry.emit(
+            cycle,
+            EventKind::Breaker {
+                ds: handle,
+                from: from.name(),
+                to: to.name(),
+            },
+        );
+    }
+
     /// Before each remote attempt: an expired open breaker becomes a
     /// half-open probe (this attempt decides its fate).
     fn breaker_pre_op(&mut self, handle: u16) {
-        let dsi = handle as usize;
-        if self.cfg.breaker_threshold == 0 || dsi >= self.ds.len() {
+        if !self.breaker_armed(handle) {
             return;
         }
-        if let BreakerState::Open { until } = self.ds[dsi].breaker {
+        if let BreakerState::Open { until } = self.ds[handle as usize].breaker {
             if self.stats.cycles >= until {
-                self.ds[dsi].breaker = BreakerState::HalfOpen;
-                self.tracer
-                    .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, "open->half_open");
-                let cycle = self.stats.cycles;
-                self.telemetry.emit(
-                    cycle,
-                    EventKind::Breaker {
-                        ds: handle,
-                        from: "open",
-                        to: "half_open",
-                    },
-                );
+                self.breaker_edge(handle, BreakerState::HalfOpen);
             }
         }
     }
 
     fn breaker_on_success(&mut self, handle: u16) {
-        let dsi = handle as usize;
-        if self.cfg.breaker_threshold == 0 || dsi >= self.ds.len() {
+        if !self.breaker_armed(handle) {
             return;
         }
-        self.ds[dsi].breaker_failures = 0;
-        if self.ds[dsi].breaker == BreakerState::HalfOpen {
-            self.ds[dsi].breaker = BreakerState::Closed;
-            self.tracer
-                .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, "half_open->closed");
-            let cycle = self.stats.cycles;
-            self.telemetry.emit(
-                cycle,
-                EventKind::Breaker {
-                    ds: handle,
-                    from: "half_open",
-                    to: "closed",
-                },
-            );
+        let ds = &mut self.ds[handle as usize];
+        ds.breaker_failures = 0;
+        if ds.breaker == BreakerState::HalfOpen {
+            self.breaker_edge(handle, BreakerState::Closed);
             self.breaker_unpin(handle);
         }
     }
 
     fn breaker_on_failure(&mut self, handle: u16) {
-        let dsi = handle as usize;
-        if self.cfg.breaker_threshold == 0 || dsi >= self.ds.len() {
+        if !self.breaker_armed(handle) {
             return;
         }
-        match self.ds[dsi].breaker {
+        let open = BreakerState::Open {
+            until: self.stats.cycles + self.cfg.breaker_cooldown,
+        };
+        let ds = &mut self.ds[handle as usize];
+        match ds.breaker {
             BreakerState::Closed => {
-                self.ds[dsi].breaker_failures += 1;
-                if self.ds[dsi].breaker_failures >= self.cfg.breaker_threshold {
-                    self.ds[dsi].breaker = BreakerState::Open {
-                        until: self.stats.cycles + self.cfg.breaker_cooldown,
-                    };
-                    self.ds[dsi].stats.breaker_trips += 1;
-                    self.tracer
-                        .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, "closed->open");
+                ds.breaker_failures += 1;
+                if ds.breaker_failures >= self.cfg.breaker_threshold {
+                    ds.stats.breaker_trips += 1;
+                    self.breaker_edge(handle, open);
                     self.tracer.trigger("breaker_open", self.stats.cycles);
-                    let cycle = self.stats.cycles;
-                    self.telemetry.emit(
-                        cycle,
-                        EventKind::Breaker {
-                            ds: handle,
-                            from: "closed",
-                            to: "open",
-                        },
-                    );
                     self.breaker_pin_resident(handle);
                 }
             }
-            BreakerState::HalfOpen => {
-                // The probe failed: back to open for another cooldown.
-                self.ds[dsi].breaker = BreakerState::Open {
-                    until: self.stats.cycles + self.cfg.breaker_cooldown,
-                };
-                self.tracer
-                    .leaf_detail(SpanKind::Breaker, handle, 0, 0, 0, "half_open->open");
-                let cycle = self.stats.cycles;
-                self.telemetry.emit(
-                    cycle,
-                    EventKind::Breaker {
-                        ds: handle,
-                        from: "half_open",
-                        to: "open",
-                    },
-                );
-            }
+            // The probe failed: back to open for another cooldown.
+            BreakerState::HalfOpen => self.breaker_edge(handle, open),
             BreakerState::Open { .. } => {}
         }
     }
@@ -1642,53 +1547,8 @@ impl<T: Transport> FarMemRuntime<T> {
         let mut relieved = false;
         let mut starved_emitted = false;
         while self.remotable_used + need > self.effective_remotable_budget() {
-            let mut stuck = false;
-            match self.clock.pop_front() {
-                None => stuck = true, // nothing evictable at all
-                Some((h, idx)) => {
-                    let dsi = h as usize;
-                    // Recently guarded and scope-pinned objects are
-                    // untouchable.
-                    if self
-                        .recent_guards
-                        .iter()
-                        .any(|&(rh, ri)| rh == h && ri == idx)
-                        || self.scope_pinned(h, idx)
-                    {
-                        self.clock.push_back((h, idx));
-                        scanned += 1;
-                        if scanned > 2 * self.clock.len() + 4 {
-                            stuck = true;
-                        }
-                    } else {
-                        // Validate: entry may be stale.
-                        let second_chance = match self.ds[dsi].obj_mut(idx) {
-                            Some(ObjState::Local {
-                                pinned: false,
-                                ref_bit,
-                                ..
-                            }) => {
-                                // Give one round of second chances, then
-                                // force-evict to guarantee progress.
-                                if *ref_bit && scanned < self.clock.len() + 1 {
-                                    *ref_bit = false;
-                                    true
-                                } else {
-                                    false
-                                }
-                            }
-                            _ => continue, // stale entry (evicted, freed, pinned)
-                        };
-                        scanned += 1;
-                        if second_chance {
-                            self.clock.push_back((h, idx));
-                        } else {
-                            cycles += self.evict(h, idx)?;
-                        }
-                    }
-                }
-            }
-            if !stuck {
+            if let Some((h, idx)) = self.clock_victim(&mut scanned) {
+                cycles += self.evict(h, idx)?;
                 continue;
             }
             // Eviction is wedged. A guard-pin-saturated clock under real
@@ -1735,18 +1595,63 @@ impl<T: Transport> FarMemRuntime<T> {
         Ok((cycles, true))
     }
 
-    /// Write back (if needed) and drop one resident remotable object.
+    /// The one clock victim search, shared by demand eviction and the
+    /// proactive sweep: pop clock entries until one may be evicted.
+    /// Recently guarded and scope-pinned objects are untouchable and go
+    /// back on the clock; stale entries (evicted, freed, pinned) are
+    /// dropped; a referenced object gets one round of second chances, then
+    /// force-eviction guarantees progress. `scanned` counts skips and
+    /// second chances across the caller's whole sweep. Returns `None` when
+    /// the clock is empty or its pinned entries exceed the `2·len + 4`
+    /// skip bound.
+    fn clock_victim(&mut self, scanned: &mut usize) -> Option<(u16, u64)> {
+        loop {
+            let (h, idx) = self.clock.pop_front()?;
+            if self
+                .recent_guards
+                .iter()
+                .any(|&(rh, ri)| rh == h && ri == idx)
+                || self.scope_pinned(h, idx)
+            {
+                self.clock.push_back((h, idx));
+                *scanned += 1;
+                if *scanned > 2 * self.clock.len() + 4 {
+                    return None;
+                }
+                continue;
+            }
+            let Some(ObjState::Local {
+                pinned: false,
+                ref_bit,
+                ..
+            }) = self.ds[h as usize].obj_mut(idx)
+            else {
+                continue; // stale entry
+            };
+            *scanned += 1;
+            if !*ref_bit || *scanned > self.clock.len() + 1 {
+                return Some((h, idx));
+            }
+            *ref_bit = false;
+            self.clock.push_back((h, idx));
+        }
+    }
+
+    /// Write back (if needed) and drop one resident remotable object. Any
+    /// other object is left as it is, at no cost.
     fn evict(&mut self, handle: u16, idx: u64) -> Result<u64, RtError> {
         let dsi = handle as usize;
+        if !self.ds[dsi].evictable(idx) {
+            return Ok(0);
+        }
         let Some(ObjState::Local {
             data,
             dirty,
-            pinned: false,
             remote_copy,
             ..
         }) = self.ds[dsi].take_obj(idx)
         else {
-            return Ok(0);
+            unreachable!("an evictable object is resident");
         };
         let mut cycles = 50; // eviction bookkeeping
         self.tracer.begin(SpanKind::Evict, handle, idx);
@@ -1805,7 +1710,9 @@ impl<T: Transport> FarMemRuntime<T> {
 
     /// Explicitly evict the object containing `ptr` to the remote server
     /// (AIFM-style evacuation; used by benchmarks and tests to control
-    /// residency). Pinned objects cannot be evacuated. Returns cycles.
+    /// residency). A pinned object has no remote home and an already
+    /// remote one is where it was asked to go: both are left as they are,
+    /// at no cost. Returns cycles.
     pub fn evacuate(&mut self, ptr: FarPtr) -> Result<u64, RtError> {
         let Some(handle) = ptr.handle() else {
             return Err(RtError::BadPointer(ptr.bits()));
@@ -1815,6 +1722,9 @@ impl<T: Transport> FarMemRuntime<T> {
             return Err(RtError::UnknownHandle(handle));
         }
         let idx = ptr.offset() >> self.ds[dsi].spec.obj_shift();
+        if !self.ds[dsi].evictable(idx) {
+            return Ok(0);
+        }
         // Remove any pin so the eviction is allowed. Explicit evacuation
         // also forgets the guard history and spill permit: callers asked
         // for the object to be strictly non-resident.
@@ -1973,9 +1883,9 @@ impl<T: Transport> FarMemRuntime<T> {
             self.tracer.begin(SpanKind::Spill, handle, idx);
             let mut fetched = self.fetch_with_retry(key, false, &mut cycles)?;
             cycles += self.cfg.costs.remote_extra;
-            copy(&mut fetched.bytes, r, b);
+            copy(&mut fetched, r, b);
             if write {
-                self.put_with_retry(key, &fetched.bytes, &mut cycles)?;
+                self.put_with_retry(key, &fetched, &mut cycles)?;
                 self.stats.spill_writes = self.stats.spill_writes.saturating_add(1);
             } else {
                 self.stats.spill_reads = self.stats.spill_reads.saturating_add(1);
@@ -2180,43 +2090,9 @@ impl<T: Transport> FarMemRuntime<T> {
         let mut freed = 0u64;
         let mut scanned = 0usize;
         while self.remotable_used > low && evicted < self.cfg.pressure.evict_batch as u64 {
-            let Some((h, idx)) = self.clock.pop_front() else {
+            let Some((h, idx)) = self.clock_victim(&mut scanned) else {
                 break;
             };
-            let dsi = h as usize;
-            if self
-                .recent_guards
-                .iter()
-                .any(|&(rh, ri)| rh == h && ri == idx)
-                || self.scope_pinned(h, idx)
-            {
-                self.clock.push_back((h, idx));
-                scanned += 1;
-                if scanned > 2 * self.clock.len() + 4 {
-                    break;
-                }
-                continue;
-            }
-            let second_chance = match self.ds[dsi].obj_mut(idx) {
-                Some(ObjState::Local {
-                    pinned: false,
-                    ref_bit,
-                    ..
-                }) => {
-                    if *ref_bit && scanned < self.clock.len() + 1 {
-                        *ref_bit = false;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                _ => continue, // stale entry
-            };
-            scanned += 1;
-            if second_chance {
-                self.clock.push_back((h, idx));
-                continue;
-            }
             let before = self.remotable_used;
             cycles += self.evict(h, idx)?;
             evicted += 1;

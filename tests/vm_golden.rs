@@ -19,15 +19,26 @@
 //! every program above, the split serving program and the benchmark's
 //! ~1k-instruction generator config. Host-side changes to the passes must
 //! leave it untouched.
+//!
+//! A fourth table pins the runtime's recovery paths, which clean
+//! `SimTransport` runs never reach: the cache-starved kvstore and two
+//! `GenConfig::chaos()` programs (with frees) under Bernoulli faults, a
+//! chaos storm, a crash loop, and a governed squeeze composed with the
+//! storm. Its rows must keep reaching retries, crash detection, journal
+//! replay, breaker trips and proactive eviction.
 
 use cards_core::baselines::MemoryBudget;
 use cards_core::ir::testgen::{generate, GenConfig};
 use cards_core::ir::{print_module, Module};
 use cards_core::net::envelope::{fnv1a, fnv1a_init};
-use cards_core::net::{NetworkModel, SimTransport};
+use cards_core::net::{
+    ChaosSchedule, ChaosTransport, FaultyTransport, NetworkModel, SimTransport, Transport,
+};
 use cards_core::passes::{compile, CompileOptions};
 use cards_core::runtime::telemetry::export_json;
-use cards_core::runtime::{CostModel, RemotingPolicy, RuntimeConfig};
+use cards_core::runtime::{
+    CostModel, PressureConfig, PressureSchedule, RemotingPolicy, RuntimeConfig, RuntimeStats,
+};
 use cards_core::vm::{profile_json, ttrace_json, Vm, VmMetrics};
 use cards_core::workloads::{bfs, fdtd, kvstore, listing1, micro, pagerank, serving, taxi};
 
@@ -517,4 +528,159 @@ fn compiled_ir_matches_golden_table() {
         mismatches.len(),
         mismatches.join("\n")
     );
+}
+
+/// What one fault-path case pins: the first table's fields, with the
+/// program's return value and `digest` global in place of its checksum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct FaultGolden {
+    ret: Option<u64>,
+    digest: Option<u64>,
+    metrics: VmMetrics,
+    /// Digest of the per-DS, global runtime and transport counters.
+    stats: u64,
+    ttrace: u64,
+    profile: u64,
+    telemetry: u64,
+}
+
+/// The fault schedules every fault-path program runs under.
+const FAULTS: [&str; 4] = ["fault0.2", "storm", "crash-loop", "squeeze+storm"];
+
+/// Run `module` compiled by the CaRDS pipeline on the cache-starved
+/// configuration of `tests/chaos.rs` (nothing pinned, two objects cached,
+/// every structure remotable) over the transport `fault` names. Returns
+/// the row and the counters the coverage check sums.
+fn run_faulted(module: Module, fault: &str) -> (FaultGolden, RuntimeStats, u64) {
+    let c = compile(module, CompileOptions::cards()).unwrap();
+    let mut cfg = RuntimeConfig::new(0, 8192).with_max_retries(32);
+    let transport: Box<dyn Transport> = match fault {
+        "fault0.2" => Box::new(FaultyTransport::new(SimTransport::default(), 0.2, 0xfa17)),
+        "storm" | "squeeze+storm" => Box::new(ChaosTransport::new(ChaosSchedule::storm(0xca05))),
+        "crash-loop" => Box::new(ChaosTransport::new(ChaosSchedule::crash_loop(0xca05))),
+        _ => unreachable!("unknown fault {fault}"),
+    };
+    if fault == "squeeze+storm" {
+        cfg = cfg.with_pressure(PressureConfig::governed());
+    }
+    let mut vm = Vm::new(c.module, cfg, transport, RemotingPolicy::AllRemotable, 0);
+    if fault == "squeeze+storm" {
+        vm.runtime_mut()
+            .set_pressure_schedule(PressureSchedule::squeeze());
+    }
+    let ret = vm.run("main", &[]).unwrap();
+    let rt = vm.runtime();
+    let mut stats = String::new();
+    let mut trips = 0;
+    for h in 0..rt.ds_count() {
+        let s = rt.ds_stats(h as u16).unwrap();
+        trips += s.breaker_trips;
+        stats += &format!("{s:?};");
+    }
+    stats += &format!("{:?};{:?}", rt.stats(), rt.net_stats());
+    let g = FaultGolden {
+        ret,
+        digest: vm.global_u64("digest"),
+        metrics: *vm.metrics(),
+        stats: digest(&stats),
+        ttrace: digest(&ttrace_json(&vm)),
+        profile: digest(&profile_json(&vm)),
+        telemetry: digest(&export_json(rt)),
+    };
+    (g, rt.stats(), trips)
+}
+
+fn fault_row(name: &str, fault: &str, g: &FaultGolden) -> String {
+    let m = &g.metrics;
+    let hex = |v: Option<u64>| v.map_or("None".to_string(), |v| format!("Some({v:#x})"));
+    format!(
+        "    (\"{name}\", \"{fault}\", FaultGolden {{ ret: {}, digest: {}, metrics: VmMetrics {{ \
+         cycles: {}, instructions: {}, loads: {}, stores: {}, guards: {}, remotable_checks: {}, \
+         fast_path_taken: {}, slow_path_taken: {}, calls: {} }}, stats: {:#x}, ttrace: {:#x}, \
+         profile: {:#x}, telemetry: {:#x} }}),\n",
+        hex(g.ret),
+        hex(g.digest),
+        m.cycles,
+        m.instructions,
+        m.loads,
+        m.stores,
+        m.guards,
+        m.remotable_checks,
+        m.fast_path_taken,
+        m.slow_path_taken,
+        m.calls,
+        g.stats,
+        g.ttrace,
+        g.profile,
+        g.telemetry,
+    )
+}
+
+#[rustfmt::skip]
+const FAULTED: &[(&str, &str, FaultGolden)] = &[
+    ("kvstore", "fault0.2", FaultGolden { ret: Some(0x12c48305), digest: None, metrics: VmMetrics { cycles: 5692742, instructions: 37760, loads: 5679, stores: 3330, guards: 4322, remotable_checks: 5, fast_path_taken: 0, slow_path_taken: 5, calls: 0 }, stats: 0xe7c447fda6c2ae66, ttrace: 0x79cb6be7b78a9d97, profile: 0x36029dc88f056086, telemetry: 0x781289ec3fab1a71 }),
+    ("kvstore", "storm", FaultGolden { ret: Some(0x12c48305), digest: None, metrics: VmMetrics { cycles: 8054264, instructions: 37760, loads: 5679, stores: 3330, guards: 4322, remotable_checks: 5, fast_path_taken: 0, slow_path_taken: 5, calls: 0 }, stats: 0xb5055edd424238b, ttrace: 0x734db2783d4dd754, profile: 0x669393c97086be52, telemetry: 0xa35ee6afcb89069c }),
+    ("kvstore", "crash-loop", FaultGolden { ret: Some(0x12c48305), digest: None, metrics: VmMetrics { cycles: 8549083, instructions: 37760, loads: 5679, stores: 3330, guards: 4322, remotable_checks: 5, fast_path_taken: 0, slow_path_taken: 5, calls: 0 }, stats: 0xf7369c71d69abd3e, ttrace: 0xde59250406f45219, profile: 0x2bca1887b755f1fb, telemetry: 0xae7d774a07318aa }),
+    ("kvstore", "squeeze+storm", FaultGolden { ret: Some(0x12c48305), digest: None, metrics: VmMetrics { cycles: 6112546, instructions: 37760, loads: 5679, stores: 3330, guards: 4322, remotable_checks: 5, fast_path_taken: 0, slow_path_taken: 5, calls: 0 }, stats: 0xb3038394cc80bb4, ttrace: 0x87b6f2abd4fa0b4a, profile: 0x5c5b102fa7940ede, telemetry: 0xb76a6dc1deff7419 }),
+    ("chaos/1", "fault0.2", FaultGolden { ret: Some(0xd8e58bd8185c42d4), digest: Some(0x2c57de28275c1908), metrics: VmMetrics { cycles: 11596385, instructions: 235005, loads: 26069, stores: 22314, guards: 23601, remotable_checks: 8, fast_path_taken: 0, slow_path_taken: 8, calls: 3072 }, stats: 0x488e02d2c3d16959, ttrace: 0xd7b86c0c2927429b, profile: 0x4f2427bc93d9a430, telemetry: 0xb6c3b2edb2f5fe14 }),
+    ("chaos/1", "storm", FaultGolden { ret: Some(0xd8e58bd8185c42d4), digest: Some(0x2c57de28275c1908), metrics: VmMetrics { cycles: 14327689, instructions: 235005, loads: 26069, stores: 22314, guards: 23601, remotable_checks: 8, fast_path_taken: 0, slow_path_taken: 8, calls: 3072 }, stats: 0x190f4fe1fc247586, ttrace: 0x557acd82735b889d, profile: 0xd06659ead90e6b93, telemetry: 0x6b18a39e96d2f705 }),
+    ("chaos/1", "crash-loop", FaultGolden { ret: Some(0xd8e58bd8185c42d4), digest: Some(0x2c57de28275c1908), metrics: VmMetrics { cycles: 10745785, instructions: 235005, loads: 26069, stores: 22314, guards: 23601, remotable_checks: 8, fast_path_taken: 0, slow_path_taken: 8, calls: 3072 }, stats: 0x429b0185b6a76d39, ttrace: 0x2df2baed6c1f326c, profile: 0xcebdd373836756bf, telemetry: 0xe05273f4e6cc1901 }),
+    ("chaos/1", "squeeze+storm", FaultGolden { ret: Some(0xd8e58bd8185c42d4), digest: Some(0x2c57de28275c1908), metrics: VmMetrics { cycles: 16037041, instructions: 235005, loads: 26069, stores: 22314, guards: 23601, remotable_checks: 8, fast_path_taken: 0, slow_path_taken: 8, calls: 3072 }, stats: 0x5ba696f704b8b18b, ttrace: 0xde88e9716f58dc25, profile: 0x3eb7035f3c6b872e, telemetry: 0x9a0973ccb283c24f }),
+    ("chaos/2", "fault0.2", FaultGolden { ret: Some(0xa72b2d0fe563b510), digest: Some(0xa25ae22574434e38), metrics: VmMetrics { cycles: 11428278, instructions: 229891, loads: 26071, stores: 22314, guards: 23601, remotable_checks: 9, fast_path_taken: 0, slow_path_taken: 9, calls: 2048 }, stats: 0x542b802e03d0bde1, ttrace: 0x18a843c1dde952e8, profile: 0x3340e443cfa6590d, telemetry: 0x5c861aed9f2ec2f1 }),
+    ("chaos/2", "storm", FaultGolden { ret: Some(0xa72b2d0fe563b510), digest: Some(0xa25ae22574434e38), metrics: VmMetrics { cycles: 13420353, instructions: 229891, loads: 26071, stores: 22314, guards: 23601, remotable_checks: 9, fast_path_taken: 0, slow_path_taken: 9, calls: 2048 }, stats: 0x6cf471ea6805ed36, ttrace: 0xf7fb43d4fccbaad5, profile: 0xccc7f9553ca237b9, telemetry: 0x9598e864a289885f }),
+    ("chaos/2", "crash-loop", FaultGolden { ret: Some(0xa72b2d0fe563b510), digest: Some(0xa25ae22574434e38), metrics: VmMetrics { cycles: 10664259, instructions: 229891, loads: 26071, stores: 22314, guards: 23601, remotable_checks: 9, fast_path_taken: 0, slow_path_taken: 9, calls: 2048 }, stats: 0x25f45dd32b4ba571, ttrace: 0x12285a41067fa605, profile: 0x3162353c7cffd5b8, telemetry: 0xb11380a7858b82a7 }),
+    ("chaos/2", "squeeze+storm", FaultGolden { ret: Some(0xa72b2d0fe563b510), digest: Some(0xa25ae22574434e38), metrics: VmMetrics { cycles: 16949833, instructions: 229891, loads: 26071, stores: 22314, guards: 23601, remotable_checks: 9, fast_path_taken: 0, slow_path_taken: 9, calls: 2048 }, stats: 0xe89338e4b351b8d4, ttrace: 0x57e1dca964550902, profile: 0xe943e35f51addca8, telemetry: 0x44cf0e9efe364ddb }),
+];
+
+#[test]
+fn fault_paths_match_golden_table() {
+    let mut cases = vec![(
+        "kvstore".to_string(),
+        kvstore::build(kvstore::KvParams {
+            keys: 128,
+            ops: 600,
+        })
+        .0,
+    )];
+    for seed in 1..=2 {
+        cases.push((format!("chaos/{seed}"), generate(seed, GenConfig::chaos())));
+    }
+    let mut observed = String::new();
+    let mut mismatches = Vec::new();
+    let mut reached = RuntimeStats::default();
+    let mut breaker_trips = 0;
+    for (name, module) in cases {
+        for fault in FAULTS {
+            let (g, s, trips) = run_faulted(module.clone(), fault);
+            reached.retries += s.retries;
+            reached.crashes_detected += s.crashes_detected;
+            reached.journal_replays += s.journal_replays;
+            reached.proactive_evictions += s.proactive_evictions;
+            breaker_trips += trips;
+            observed += &fault_row(&name, fault, &g);
+            let want = FAULTED
+                .iter()
+                .find(|(n, f, _)| *n == name && *f == fault)
+                .map(|(_, _, w)| *w);
+            if want != Some(g) {
+                mismatches.push(format!("{name}/{fault}: want {want:?}\n  got {g:?}"));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} fault-path rows differ:\n{}\nobserved table:\n{observed}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+    // The rows must keep reaching every recovery path they guard.
+    for (what, n) in [
+        ("retries", reached.retries),
+        ("crashes_detected", reached.crashes_detected),
+        ("journal_replays", reached.journal_replays),
+        ("breaker_trips", breaker_trips),
+        ("proactive_evictions", reached.proactive_evictions),
+    ] {
+        assert!(n > 0, "no fault-path row reaches {what}");
+    }
 }
